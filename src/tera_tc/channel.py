@@ -63,11 +63,15 @@ class Subwindow:
     bandwidth: float
     k_abs: float
 
+    def __post_init__(self):
+        if not np.all(np.isfinite([self.frequency, self.bandwidth, self.k_abs])):
+            raise DomainError("subwindow frequency, bandwidth and k_abs must be finite")
+
 
 @dataclass(frozen=True)
 class BandPlan:
     """Ordered subwindows with strictly increasing center frequencies and a
-    common bandwidth."""
+    common bandwidth; each `Subwindow` has already rejected non-finite values."""
 
     subwindows: tuple[Subwindow, ...]
 

@@ -6,6 +6,11 @@ maximum feasible distance for a given rate floor, and the iterative
 distance-power fixed point with exponential smoothing that drives the
 proposed allocation strategy.
 
+The stationary SNR and the maximum distance have closed forms in the
+principal Lambert W and the Wright omega function (Corless et al., "On the
+Lambert W function", Adv. Comput. Math. 5, 1996). Every link budget goes
+through `channel.log_inverse_gain`.
+
 All per-device arithmetic is done in log space where absorption exponents
 could overflow; devices parked deep inside an absorption peak simply end up
 with very short distances instead of NaNs.
@@ -19,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import lambertw, wrightomega
 
 from .channel import D_MIN, LinkParams, log_inverse_gain
 
@@ -44,6 +50,7 @@ class SolverConfig:
     eps is the stop tolerance on the change of total transport capacity per
     inner iteration; with eps_relative=True it is scaled by max(1, TC), since
     an absolute 1e-6 m*bps would never trigger at realistic TC magnitudes.
+    Needs m_out >= 1, max_inner >= 1, 0 <= alpha < 1 and d_init > 0.
     """
 
     alpha: float = 0.7
@@ -53,9 +60,15 @@ class SolverConfig:
     d_init: float = 10.0
     max_inner: int = 500
     d_min: float = D_MIN
-    bisect_rel_tol: float = 1e-10
     enum_cap: int = 10_000_000
-    seed: int = 0
+
+    def __post_init__(self):
+        if self.m_out < 1 or self.max_inner < 1:
+            raise ValueError("m_out and max_inner must be >= 1")
+        if not 0.0 <= self.alpha < 1.0:
+            raise ValueError("alpha must be in [0, 1)")
+        if not 0.0 < self.d_init < math.inf:
+            raise ValueError("d_init must be finite and > 0")
 
 
 class Regime(enum.Enum):
@@ -77,34 +90,21 @@ def stationarity_lhs(xi):
     return np.log1p(xi) * (1.0 + xi) / xi
 
 
-def solve_stationarity_snr(absorption_exponent, rel_tol: float = 1e-12):
-    """The unique xi > 0 with ln(1+xi)(1+xi)/xi = 2 + absorption_exponent.
+def solve_stationarity_snr(absorption_exponent):
+    """The unique xi > 0 with ln(1+xi)(1+xi)/xi = b, b = 2 + absorption_exponent.
 
-    Vectorized bisection in log(xi); accepts a scalar or an array of
-    nonnegative absorption exponents d*k_abs.
+    With u = ln(1+xi) the condition reads (u - b) e^(u - b) = -b e^(-b), so
+    u = b + W0(-b e^(-b)) on the principal Lambert W branch (the other
+    branch gives the spurious root u = 0). u is clamped at 690, which keeps
+    xi finite and the solution monotone for physically absurd exponents.
+    Accepts a scalar or an array of nonnegative exponents d*k_abs.
     """
     a = np.asarray(absorption_exponent, dtype=float)
     if np.any(a < 0):
         raise ValueError("absorption exponent must be >= 0")
-    target = 2.0 + a
-    lo = np.full(a.shape, math.log(1e-9))
-    hi = np.full(a.shape, math.log(1e12))
-    # Extend the upper bracket for extreme exponents (LHS ~ ln(xi) there);
-    # past the float ceiling the solution is clamped, which keeps callers'
-    # monotone bracketing intact for physically absurd exponents.
-    while True:
-        short = (hi < 690.0) & (stationarity_lhs(np.exp(hi)) < target)
-        if not short.any():
-            break
-        hi = np.where(short, np.minimum(hi + 50.0, 690.0), hi)
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        below = stationarity_lhs(np.exp(mid)) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) <= rel_tol:
-            break
-    xi = np.exp(0.5 * (lo + hi))
+    b = 2.0 + a
+    u = np.minimum(b + lambertw(-b * np.exp(-b)).real, 690.0)
+    xi = np.expm1(u)
     return float(xi) if np.isscalar(absorption_exponent) else xi
 
 
@@ -156,30 +156,24 @@ def max_distance(
     bandwidth: float,
     params: LinkParams,
     d_min: float = D_MIN,
-    rel_tol: float = 1e-10,
 ) -> float:
     """Largest distance at which the link still meets its rate floor.
 
-    Solves SNR(d) = 2^(rate_req/W) - 1; the SNR is strictly decreasing in d.
+    SNR(d) = 2^(rate_req/W) - 1 reduces to k d + 2 ln d = C, whose root is
+    ln d = C/2 - omega(ln(k/2) + C/2) with omega the Wright omega function
+    (omega e^omega = e^z); k = 0 gives omega(-inf) = 0.
     """
     if not power > 0 or not rate_req > 0:
         raise ValueError("power and rate_req must be > 0")
     log_xi_req = math.log(math.expm1(rate_req / bandwidth * _LN2))
     log_p = math.log(power)
-
-    def gap(log_d):
-        return _log_snr(log_p, frequency, k_abs, math.exp(log_d), bandwidth, params) - log_xi_req
-
-    lo = math.log(d_min)
-    if gap(lo) < 0:
+    if _log_snr(log_p, frequency, k_abs, d_min, bandwidth, params) < log_xi_req:
         raise InfeasibleError(
             f"rate floor {rate_req:.3e} bps unreachable even at d_min={d_min:g} m"
         )
-    hi = lo + math.log(10.0)
-    while gap(hi) > 0:
-        hi += math.log(10.0)
-    log_d = brentq(gap, lo, hi, xtol=rel_tol, rtol=rel_tol, maxiter=200)
-    return math.exp(log_d)
+    c = log_p - log_xi_req - log_inverse_gain(frequency, 0.0, 1.0, bandwidth, params)
+    z = math.log(k_abs / 2.0) + c / 2.0 if k_abs > 0 else -math.inf
+    return math.exp(c / 2.0 - wrightomega(z))
 
 
 def classify_regime(
@@ -209,12 +203,10 @@ def classify_regime(
 def _log_power_coeff(log_xi, frequencies, k_abs, distances, bandwidth, params):
     """ln(c_k) where p_k = c_k * d_k^2 for SNR xi_k with the absorption loss
     frozen at the current distances."""
-    sigma2 = params.n0 * bandwidth
     return (
         log_xi
-        + math.log(sigma2 / (params.gt_linear * params.gr_linear))
-        + 2.0 * np.log(4.0 * np.pi * frequencies / params.c)
-        + k_abs * distances
+        + log_inverse_gain(frequencies, k_abs, distances, bandwidth, params)
+        - 2.0 * np.log(distances)
     )
 
 
@@ -269,17 +261,6 @@ def _pin_masks(distances, k_abs, rate_reqs, bandwidth):
     return pinned, xi_tilde
 
 
-def _log_pinned_power(scale, d_pin, f_pin, k_pin, log_xi_req, bandwidth, params):
-    d = scale * d_pin
-    sigma2 = params.n0 * bandwidth
-    return (
-        log_xi_req
-        + math.log(sigma2 / (params.gt_linear * params.gr_linear))
-        + 2.0 * np.log(4.0 * np.pi * f_pin * d / params.c)
-        + k_pin * d
-    )
-
-
 def _enforce_rate_floors(d, log_p, frequencies, k_abs, rate_reqs, bandwidth, params):
     """Final feasibility repair: devices with binding floors get powers set
     so their SNR hits the floor exactly at their distance, with the pinned
@@ -309,8 +290,8 @@ def _enforce_rate_floors(d, log_p, frequencies, k_abs, rate_reqs, bandwidth, par
             lxr = log_xi_req[pinned]
 
             def excess(log_s):
-                lp = _log_pinned_power(
-                    math.exp(log_s), d_pin, f_pin, k_pin, lxr, bandwidth, params
+                lp = lxr + log_inverse_gain(
+                    f_pin, k_pin, math.exp(log_s) * d_pin, bandwidth, params
                 )
                 return np.exp(lp).sum() - budget_pin  # increasing in s
 
@@ -327,8 +308,8 @@ def _enforce_rate_floors(d, log_p, frequencies, k_abs, rate_reqs, bandwidth, par
             log_s = brentq(excess, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=300)
             s = math.exp(log_s)
             d_new[pinned] = s * d_pin
-            log_p_new[pinned] = _log_pinned_power(
-                s, d_pin, f_pin, k_pin, lxr, bandwidth, params
+            log_p_new[pinned] = lxr + log_inverse_gain(
+                f_pin, k_pin, d_new[pinned], bandwidth, params
             )
         snrs = np.exp(
             log_p_new - log_inverse_gain(frequencies, k_abs, d_new, bandwidth, params)
@@ -351,7 +332,6 @@ def iterate_power_distance(
     params: LinkParams,
     config: SolverConfig = SolverConfig(),
     d0=None,
-    p0=None,
 ) -> IterState:
     """Run the smoothed distance-power fixed point to convergence.
 
@@ -369,9 +349,6 @@ def iterate_power_distance(
     if np.any(req < 0):
         raise ValueError("rate requirements must be >= 0")
     d = np.full(n, float(config.d_init)) if d0 is None else np.asarray(d0, dtype=float).copy()
-    # p0 is accepted for interface symmetry with the outer loop but has no
-    # effect: powers are recomputed from the SNR targets every iteration.
-    del p0
 
     log_xi_req = np.where(req > 0, np.log(np.expm1(np.maximum(req, 1e-300) / bandwidth * _LN2)), -np.inf)
     tc_prev = None

@@ -19,11 +19,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .channel import spreading_loss, absorption_loss
+from .channel import absorption_loss, log_inverse_gain, spreading_loss
 from .distance_power import optimal_distance_pair
 from .scenario import ExperimentSpec, Scenario, scenario_to_dict
 from .strategies import STRATEGIES, Allocation, DeviceSpec, audit_allocation
-from .units import dbm_to_watts, watts_to_dbm
+from .units import dbm_to_watts
 
 _LN2 = math.log(2.0)
 
@@ -89,12 +89,16 @@ def _run_strategy_job(job):
     )
 
 
-def _run_jobs(jobs, workers: int = 1):
+def _map_jobs(fn, jobs, workers: int):
+    """fn over jobs in order, in a process pool when workers > 1."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_strategy_job, jobs))
-    else:
-        results = [_run_strategy_job(job) for job in jobs]
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
+
+
+def _run_jobs(jobs, workers: int = 1):
+    results = _map_jobs(_run_strategy_job, jobs, workers)
     summary = [r[0] for r in results]
     devices = [row for r in results for row in r[1]]
     return summary, devices
@@ -170,11 +174,7 @@ def run_cdf_fixed_distance(scenario: Scenario, spec: ExperimentSpec, workers: in
                 jobs.append(
                     (spec.kind, strategy, radius, trial, scenario, spec.seed, radius_index)
                 )
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_cdf_job, jobs))
-    else:
-        results = [_cdf_job(job) for job in jobs]
+    results = _map_jobs(_cdf_job, jobs, workers)
     summary = [r[0] for r in results]
     pooled: dict[tuple[float, str], list[float]] = {}
     for job, (_, rates) in zip(jobs, results):
@@ -263,10 +263,9 @@ def run_single_link_curve(scenario: Scenario, spec: ExperimentSpec, workers: int
 def link_curve(frequency: float, k_abs: float, bandwidth: float, params, distances) -> list[dict]:
     """T(d) = d * W * log2(1 + SNR(d)) rows at full power over a distance grid."""
     d = np.asarray(distances, dtype=float)
-    gain = params.gt_linear * params.gr_linear * np.exp(-k_abs * d) * (
-        params.c / (4.0 * np.pi * frequency * d)
-    ) ** 2
-    snr = params.p_total * gain / (params.n0 * bandwidth)
+    snr = np.exp(
+        math.log(params.p_total) - log_inverse_gain(frequency, k_abs, d, bandwidth, params)
+    )
     rate = bandwidth * np.log1p(snr) / _LN2
     d_opt, xi_opt = optimal_distance_pair(params.p_total, frequency, k_abs, bandwidth, params)
     rate_opt = bandwidth * math.log1p(xi_opt) / _LN2

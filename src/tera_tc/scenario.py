@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .channel import AbsorptionTable, BandPlan, LinkParams, Subwindow, bundled_absorption_table
+from .channel import AbsorptionTable, BandPlan, DomainError, LinkParams, Subwindow, bundled_absorption_table
 from .distance_power import SolverConfig
 from .strategies import STRATEGIES, DeviceSpec, Scenario
 from .units import db_to_linear, dbm_to_watts
@@ -151,6 +151,8 @@ def _parse_devices(entries, bandwidth: float) -> tuple[DeviceSpec, ...]:
 
 
 def _parse_solver(section: dict) -> SolverConfig:
+    """Unknown keys are ignored, so older files that still carry the retired
+    `seed` and `bisect_rel_tol` keys load unchanged."""
     defaults = SolverConfig()
     try:
         return SolverConfig(
@@ -161,9 +163,7 @@ def _parse_solver(section: dict) -> SolverConfig:
             d_init=float(section.get("d_init_m", defaults.d_init)),
             max_inner=int(section.get("max_inner", defaults.max_inner)),
             d_min=float(section.get("d_min_m", defaults.d_min)),
-            bisect_rel_tol=float(section.get("bisect_rel_tol", defaults.bisect_rel_tol)),
             enum_cap=int(section.get("enum_cap", defaults.enum_cap)),
-            seed=int(section.get("seed", defaults.seed)),
         )
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"solver: {exc}") from exc
@@ -183,8 +183,14 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, ExperimentSpec]:
     for key in ("band", "link_params", "devices"):
         if key not in doc:
             raise ScenarioError(f"missing top-level section {key!r}")
-    band = _parse_band(doc["band"])
-    params = _parse_link_params(doc["link_params"])
+    try:
+        band = _parse_band(doc["band"])
+    except DomainError as exc:
+        raise ScenarioError(f"band: {exc}") from exc
+    try:
+        params = _parse_link_params(doc["link_params"])
+    except DomainError as exc:
+        raise ScenarioError(f"link_params: {exc}") from exc
     devices = _parse_devices(doc["devices"], band.bandwidth)
     config = _parse_solver(doc.get("solver", {}))
     try:
@@ -232,9 +238,7 @@ def scenario_to_dict(scenario: Scenario, experiment: ExperimentSpec) -> dict:
             "d_init_m": scenario.config.d_init,
             "max_inner": scenario.config.max_inner,
             "d_min_m": scenario.config.d_min,
-            "bisect_rel_tol": scenario.config.bisect_rel_tol,
             "enum_cap": scenario.config.enum_cap,
-            "seed": scenario.config.seed,
         },
         "experiment": {
             "kind": experiment.kind,

@@ -44,10 +44,10 @@ class DeviceSpec:
     fixed_distance: float | None = None
 
     def __post_init__(self):
-        if self.rate_req < 0:
-            raise ValueError("rate_req must be >= 0")
-        if self.fixed_distance is not None and not self.fixed_distance > 0:
-            raise ValueError("fixed_distance must be > 0")
+        if not 0 <= self.rate_req < math.inf:
+            raise ValueError("rate_req must be finite and >= 0")
+        if self.fixed_distance is not None and not 0 < self.fixed_distance < math.inf:
+            raise ValueError("fixed_distance must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,6 @@ def proposed_tc_max(scenario: Scenario) -> Allocation:
             scenario.params,
             cfg,
             d0=d,
-            p0=p,
         )
         total_inner += state.iterations
         if best is None or state.tc > best.tc:
@@ -267,16 +266,18 @@ def distance_max_benchmark(scenario: Scenario) -> Allocation:
     f = band.frequencies[n_of_k]
     k = band.k_abs[n_of_k]
     w = band.bandwidth
-    sigma2 = params.n0 * w
     log_xi_req = np.log(np.expm1(reqs / w * _LN2))
-    log_gain = math.log(params.gt_linear * params.gr_linear)
-    log_geo = 2.0 * np.log(4.0 * np.pi * f / params.c)
+
+    # Log power that meets each floor at 1 m without absorption.
+    base = log_xi_req + log_inverse_gain(f, 0.0, 1.0, w, params)
+
+    def log_powers(d: np.ndarray) -> np.ndarray:
+        return log_xi_req + log_inverse_gain(f, k, d, w, params)
 
     def distances_for_nu(log_nu: float) -> np.ndarray:
         # psi(d) = xi_req*sigma2*(2d + k d^2)*e^{k d}*(4 pi f/c)^2 / (GtGr)
         # is strictly increasing in d; solve psi(d) = 1/nu by bisection.
         target = -log_nu
-        base = log_xi_req + math.log(sigma2) + log_geo - log_gain
 
         def log_psi(log_d):
             d = np.exp(log_d)
@@ -295,11 +296,6 @@ def distance_max_benchmark(scenario: Scenario) -> Allocation:
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         return np.exp(0.5 * (lo + hi))
-
-    def log_powers(d: np.ndarray) -> np.ndarray:
-        return log_xi_req + math.log(sigma2) - log_gain + k * d + 2.0 * np.log(
-            4.0 * np.pi * f * d / params.c
-        )
 
     def budget_gap(log_nu: float) -> float:
         return np.exp(log_powers(distances_for_nu(log_nu))).sum() - params.p_total

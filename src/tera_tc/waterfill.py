@@ -4,6 +4,11 @@ Each device receives p_k = [w_k / lam - g_k]^+ where w_k is its weight
 (the transmission distance for transport-capacity maximization, 1 for plain
 sum-rate), g_k its effective inverse channel gain sigma^2/|h_k|^2, and the
 water-level dual lam is chosen so the budget is met with equality.
+
+The active devices are a prefix of the order by descending w_k/g_k, so the
+water level is found exactly by one sort and a cumulative sum (Palomar and
+Fonollosa, "Practical algorithms for a family of waterfilling solutions",
+IEEE Trans. Signal Process. 53(2), 2005).
 """
 
 from __future__ import annotations
@@ -15,12 +20,14 @@ class WaterfillError(ValueError):
     """Invalid water-filling input."""
 
 
-def waterfill(weights, inverse_gains, p_total: float, rel_tol: float = 1e-10) -> np.ndarray:
+def waterfill(weights, inverse_gains, p_total: float) -> np.ndarray:
     """Powers (W) maximizing sum_k w_k log2(1 + p_k / g_k) s.t. sum p = p_total.
 
     `inverse_gains` may contain +inf for channels killed by absorption;
-    those devices get exactly zero power. The dual is bisected to `rel_tol`
-    and then polished with the exact closed form on the active set.
+    those devices get exactly zero power. With the usable devices sorted by
+    descending w/g, the prefix water levels are lam_m = sum_{i<=m} w_i /
+    (p_total + sum_{i<=m} g_i); the active set is the longest prefix with
+    w_m/g_m > lam_m, and its lam_m is the exact water level.
     """
     w = np.asarray(weights, dtype=float)
     g = np.asarray(inverse_gains, dtype=float)
@@ -36,28 +43,12 @@ def waterfill(weights, inverse_gains, p_total: float, rel_tol: float = 1e-10) ->
         raise WaterfillError("every channel has zero gain; no feasible allocation")
     wu, gu = w[usable], g[usable]
 
-    def powers(lam: float) -> np.ndarray:
-        return np.maximum(0.0, wu / lam - gu)
-
-    # Budget residual is strictly decreasing in lam on this bracket.
-    lo = np.min(wu / (gu + p_total))
-    hi = np.max(wu / gu)
-    for _ in range(200):
-        lam = 0.5 * (lo + hi)
-        if powers(lam).sum() > p_total:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo <= rel_tol * hi:
-            break
-    lam = 0.5 * (lo + hi)
-
-    # Exact water level for the active set found by bisection.
-    active = wu / lam - gu > 0
-    if not active.any():
-        active[np.argmax(wu / gu)] = True
-    lam = wu[active].sum() / (p_total + gu[active].sum())
-    p_u = powers(lam)
+    order = np.argsort(-wu / gu, kind="stable")
+    levels = np.cumsum(wu[order]) / (p_total + np.cumsum(gu[order]))
+    above = wu[order] / gu[order] > levels  # True for m = 0 since p_total > 0
+    n_active = above.size if above.all() else int(np.argmin(above))
+    lam = levels[n_active - 1]
+    p_u = np.maximum(0.0, wu / lam - gu)
     p_u *= p_total / p_u.sum()
 
     p = np.zeros_like(w)

@@ -268,3 +268,18 @@ class TestAbsorptionTable:
         peak_f = table.frequencies[int(np.argmax(table.k_abs))]
         assert abs(peak_f - 5.55e11) < 1e9
         assert table.k_abs.max() > 5 * np.median(table.k_abs)
+
+
+@pytest.mark.parametrize(
+    "sub",
+    [
+        (math.nan, 1e9, 0.1),
+        (5e11, 1e9, math.nan),
+        (5e11, math.inf, 0.1),
+        (5e11, 1e9, math.inf),
+    ],
+    ids=["nan_frequency", "nan_k_abs", "inf_bandwidth", "inf_k_abs"],
+)
+def test_band_plan_rejects_non_finite(sub):
+    with pytest.raises(DomainError, match="finite"):
+        BandPlan((Subwindow(*sub),))

@@ -278,3 +278,52 @@ class TestIteratePowerDistance:
         )
         assert len(state.tc_history) == state.iterations
         assert state.tc_history[-1] > 0
+
+
+class TestClosedForms:
+    """Ranges the Lambert W / Wright omega closed forms must cover."""
+
+    @pytest.mark.parametrize("exponent", [0.0, 1e-9, 0.5, 2.0, 10.0, 100.0, 500.0, 686.0])
+    def test_stationarity_residual(self, exponent):
+        b = 2.0 + exponent
+        xi = solve_stationarity_snr(exponent)
+        assert abs(stationarity_lhs(xi) - b) < 1e-10 * b
+
+    @pytest.mark.parametrize("top", [10.0, 700.0, 1e4])
+    def test_stationarity_monotone_and_finite(self, top):
+        exps = np.linspace(0.0, top, 20_001)
+        xi = solve_stationarity_snr(exps)
+        assert np.all(np.isfinite(xi))
+        assert np.all(np.diff(xi) >= 0)
+
+    def test_stationarity_clamp_is_a_finite_ceiling(self):
+        xi = solve_stationarity_snr(np.array([688.0, 700.0, 1e3, 1e4]))
+        assert np.all(xi == xi[-1])
+        assert 1e299 < xi[-1] < np.inf
+
+    @pytest.mark.parametrize("k_abs", [0.0, 0.2, 5.0, 50.0])
+    def test_max_distance_rate_residual(self, params, k_abs):
+        req = 2.0e9
+        d = max_distance(params.p_total, req, 5e11, k_abs, 1e9, params)
+        assert d > 1e-3
+        rate = tc_curve(d, params.p_total, 5e11, k_abs, 1e9, params) / d
+        assert abs(rate - req) / req < 1e-9
+
+
+class TestSolverConfigRanges:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"m_out": 0},
+            {"max_inner": 0},
+            {"alpha": 1.0},
+            {"alpha": -0.1},
+            {"alpha": math.nan},
+            {"d_init": 0.0},
+            {"d_init": math.inf},
+        ],
+        ids=["m_out", "max_inner", "alpha_one", "alpha_negative", "alpha_nan", "d_init_zero", "d_init_inf"],
+    )
+    def test_rejected(self, fields):
+        with pytest.raises(ValueError):
+            SolverConfig(**fields)

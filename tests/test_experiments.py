@@ -237,6 +237,14 @@ class TestCli:
         assert main(["validate", "--spec", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_validate_negative_k_abs_exits_2(self, tmp_path, capsys):
+        doc = json.loads(self.write_spec(tmp_path).read_text())
+        doc["band"]["subwindows"][0]["k_abs_per_m"] = -0.1
+        path = tmp_path / "negative_k.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--spec", str(path)]) == 2
+        assert "error: band:" in capsys.readouterr().err
+
     def test_run(self, tmp_path, capsys):
         path = self.write_spec(tmp_path)
         out = tmp_path / "results"

@@ -152,3 +152,32 @@ def test_custom_absorption_table(tmp_path):
     doc["band"]["absorption_table"] = str(table)
     scenario, _ = scenario_from_dict(doc)
     assert np.allclose(scenario.band.k_abs, 0.1)
+
+
+def test_retired_solver_keys_still_load():
+    doc = minimal_doc(solver={"alpha": 0.6, "seed": 7, "bisect_rel_tol": 1e-8})
+    scenario, spec = scenario_from_dict(doc)
+    assert scenario.config.alpha == 0.6
+    solver = scenario_to_dict(scenario, spec)["solver"]
+    assert "seed" not in solver and "bisect_rel_tol" not in solver
+
+
+def test_band_domain_error_names_band():
+    doc = minimal_doc(
+        band={"subwindows": [{"frequency_hz": 5e11, "bandwidth_hz": 1e9, "k_abs_per_m": -0.1}]},
+        devices=[{"rate_req_bps": 1e9}],
+    )
+    with pytest.raises(ScenarioError, match="^band: "):
+        scenario_from_dict(doc)
+
+
+def test_bad_solver_range_is_a_scenario_error():
+    with pytest.raises(ScenarioError, match="solver.*m_out"):
+        scenario_from_dict(minimal_doc(solver={"m_out": 0}))
+
+
+def test_link_params_domain_error_names_link_params():
+    doc = minimal_doc()
+    doc["link_params"]["p_total_w"] = -1.0
+    with pytest.raises(ScenarioError, match="^link_params: "):
+        scenario_from_dict(doc)

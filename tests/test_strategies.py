@@ -326,3 +326,18 @@ class TestScenarioAndAudit:
         bad = dataclasses.replace(alloc, rates=alloc.rates * 1e-3)
         with pytest.raises(Exception, match="floor"):
             audit_allocation(bad, sc, check_rate_floors=True)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"rate_req": math.nan},
+        {"rate_req": math.inf},
+        {"fixed_distance": math.nan},
+        {"fixed_distance": math.inf},
+    ],
+    ids=["nan_floor", "inf_floor", "nan_distance", "inf_distance"],
+)
+def test_device_spec_rejects_non_finite(fields):
+    with pytest.raises(ValueError, match="finite"):
+        DeviceSpec(**fields)

@@ -103,3 +103,60 @@ def test_input_validation():
         waterfill([1.0, 1.0], [1e-3], 1.0)
     with pytest.raises(WaterfillError):
         waterfill([1.0, 1.0], [np.inf, np.inf], 1.0)
+
+
+def brute_force_waterfill(w, g, p_total, candidate_sets):
+    """Best allocation over the given active sets: each set's water level
+    from the budget, sets that would need negative power skipped."""
+    best, best_val = None, -np.inf
+    for active in candidate_sets:
+        active = np.asarray(active)
+        lam = w[active].sum() / (p_total + g[active].sum())
+        p = np.zeros_like(w)
+        p[active] = w[active] / lam - g[active]
+        if np.any(p < -1e-12 * p_total):
+            continue
+        p = np.maximum(p, 0.0)
+        val = weighted_sum_rate(w, g, p)
+        if val > best_val:
+            best, best_val = p, val
+    return best
+
+
+def all_subsets(n):
+    return [np.flatnonzero([(mask >> i) & 1 for i in range(n)]) for mask in range(1, 2**n)]
+
+
+@pytest.mark.parametrize(
+    "w, g, p_total",
+    [
+        ([3.0] * 6, [1e-3] * 6, 0.6),  # every level tied
+        ([1.0, 2.0, 4.0, 3.0], [1e-3, 2e-3, 4e-3, 9e-3], 0.01),  # three tied levels
+        ([10.0, 1.0, 1.0, 1.0], [1e-3, 1.0, 1.0, 1.0], 0.5),  # tied group left dry
+        ([10.0, 1.0, 1.0, 1.0], [1e-3, 1.0, 1.0, 1.0], 50.0),  # tied group all wet
+        ([5.0, 5.0, 2.0, 2.0, 1.0, 8.0, 8.0], [1e-2, 1e-2, 1e-3, 1e-3, 4e-1, 2.0, 2.0], 0.3),
+    ],
+    ids=["all_tied", "tied_levels", "tied_dry", "tied_wet", "mixed_ties"],
+)
+def test_matches_subset_enumeration_on_ties(w, g, p_total):
+    w, g = np.array(w), np.array(g)
+    expected = brute_force_waterfill(w, g, p_total, all_subsets(len(w)))
+    assert np.allclose(waterfill(w, g, p_total), expected, rtol=1e-9, atol=1e-12 * p_total)
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+def test_matches_enumeration_large(rng, tied):
+    # n = 500 rules out subset enumeration; every "best m levels" set is
+    # tried instead, and the best-objective feasible one wins.
+    n = 500
+    w = rng.uniform(0.5, 40.0, n)
+    g = 10.0 ** rng.uniform(-6, 1, n)
+    if tied:
+        w, g = np.repeat(w[:50], 10), np.repeat(g[:50], 10)
+    p_total = 5.0
+    by_level = np.argsort(-w / g, kind="stable")
+    candidates = [by_level[:m] for m in range(1, n + 1)]
+    expected = brute_force_waterfill(w, g, p_total, candidates)
+    p = waterfill(w, g, p_total)
+    assert np.allclose(p, expected, rtol=1e-9, atol=1e-12 * p_total)
+    assert 0 < np.count_nonzero(p) < n  # the water level cuts the population
