@@ -9,6 +9,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -45,6 +46,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_link_curve(args) -> int:
+    if not 0 < args.d_min < math.inf:
+        raise ScenarioError(f"--d-min must be finite and > 0, got {args.d_min:g}")
+    if not args.d_min < args.d_max < math.inf:
+        raise ScenarioError(f"--d-max must be finite and > --d-min, got {args.d_max:g}")
     params = LinkParams(
         gt_linear=float(db_to_linear(args.gain_dbi)),
         gr_linear=float(db_to_linear(args.gain_dbi)),

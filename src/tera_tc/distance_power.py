@@ -11,6 +11,11 @@ principal Lambert W and the Wright omega function (Corless et al., "On the
 Lambert W function", Adv. Comput. Math. 5, 1996). Every link budget goes
 through `channel.log_inverse_gain`.
 
+`optimal_distance_pair`, `max_distance` and `classify_regime` take a scalar
+or an array per device argument: scalars give floats, arrays solve every
+device at once (one safeguarded array Newton iteration for the optimal
+distance) and give arrays.
+
 All per-device arithmetic is done in log space where absorption exponents
 could overflow; devices parked deep inside an absorption peak simply end up
 with very short distances instead of NaNs.
@@ -78,10 +83,13 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class RegimeResult:
-    regime: Regime
-    d_opt: float
-    snr_opt: float
-    spectral_eff_opt: float
+    """Per-device regime and operating point: floats for one device, arrays
+    (and a tuple of `Regime`) for several."""
+
+    regime: Regime | tuple[Regime, ...]
+    d_opt: float | np.ndarray
+    snr_opt: float | np.ndarray
+    spectral_eff_opt: float | np.ndarray
 
 
 def stationarity_lhs(xi):
@@ -112,92 +120,152 @@ def _log_snr(log_power, frequency, k_abs, distance, bandwidth, params):
     return log_power - log_inverse_gain(frequency, k_abs, distance, bandwidth, params)
 
 
+def _device_arrays(*values):
+    """(scalar, arrays): the values broadcast to a common 1-D float shape,
+    and whether every one of them was a scalar."""
+    scalar = all(np.ndim(v) == 0 for v in values)
+    arrays = (np.atleast_1d(np.asarray(v, dtype=float)) for v in values)
+    return scalar, np.broadcast_arrays(*arrays)
+
+
 def optimal_distance_pair(
-    power: float,
-    frequency: float,
-    k_abs: float,
+    power,
+    frequency,
+    k_abs,
     bandwidth: float,
     params: LinkParams,
     residual_tol: float = 1e-6,
-) -> tuple[float, float]:
+):
     """Distance and SNR jointly satisfying the stationarity condition and
     the SNR definition at the given power (the unconstrained per-device
     transport-capacity optimum).
+
+    The gap ln SNR(d) - ln xi_stat(k d) is strictly decreasing in t = ln d.
+    Each element starts from the bracket [1e-8, 1e3] m, whose upper end
+    grows tenfold while the gap is still positive (ConvergenceError past
+    1e12 m), and is solved by Newton's method in t, with
+    d ln xi_stat/dx = xi/(xi - ln(1+xi)), falling back to bisection when a
+    step leaves the bracket. Scalars give a (d, xi) pair of floats, arrays
+    a pair of arrays.
     """
-    if not power > 0:
+    scalar, (p, f, k) = _device_arrays(power, frequency, k_abs)
+    if not np.all(p > 0):
         raise ValueError("power must be > 0")
-    log_p = math.log(power)
+    log_p = np.log(p)
 
-    def gap(log_d):
-        d = math.exp(log_d)
-        xi_link = _log_snr(log_p, frequency, k_abs, d, bandwidth, params)
-        xi_stat = math.log(solve_stationarity_snr(k_abs * d))
-        return xi_link - xi_stat  # strictly decreasing in d
+    def gap(t):
+        """The gap at t, with x = k d and xi_stat(x) for its slope."""
+        d = np.exp(t)
+        x = k * d
+        xi_stat = solve_stationarity_snr(x)
+        return _log_snr(log_p, f, k, d, bandwidth, params) - np.log(xi_stat), x, xi_stat
 
-    lo, hi = math.log(1e-8), math.log(1e3)
-    while gap(hi) > 0:
-        hi += math.log(10.0)
-        if hi > math.log(1e12):
+    lo = np.full(p.shape, math.log(1e-8))
+    hi = np.full(p.shape, math.log(1e3))
+    while (short := gap(hi)[0] > 0).any():
+        hi[short] += math.log(10.0)
+        if np.any(hi > math.log(1e12)):
             raise ConvergenceError("optimal distance bracket expansion failed")
-    log_d = brentq(gap, lo, hi, xtol=1e-14, rtol=1e-14, maxiter=200)
-    d = math.exp(log_d)
-    xi = math.exp(_log_snr(log_p, frequency, k_abs, d, bandwidth, params))
-    residual = abs(stationarity_lhs(xi) - (2.0 + k_abs * d))
+    if not np.all(gap(lo)[0] > 0):
+        raise ValueError("optimal distance lies below 1e-8 m")
+    # Without absorption xi_stat is the constant root at k d = 0; absorption
+    # only lowers the gap, so that root is an upper bound on every t.
+    xi_0 = solve_stationarity_snr(0.0)
+    t0 = 0.5 * (log_p - math.log(xi_0) - log_inverse_gain(f, 0.0, 1.0, bandwidth, params))
+    t = np.minimum(t0, hi)
+    active = np.ones(p.shape, dtype=bool)
+    for _ in range(200):
+        g, x, xi = gap(t)
+        lo = np.where(g > 0, t, lo)
+        hi = np.where(g > 0, hi, t)
+        slope = -(2.0 + x) - x * xi / (xi - np.log1p(xi))
+        t_new = t - g / slope
+        t_new = np.where((t_new >= lo) & (t_new <= hi), t_new, 0.5 * (lo + hi))
+        done = np.abs(t_new - t) <= 1e-13 * np.maximum(1.0, np.abs(t))
+        t = np.where(active, t_new, t)
+        active &= ~done
+        if not active.any():
+            break
+    else:
+        raise ConvergenceError("optimal distance Newton iteration did not converge")
+    d = np.exp(t)
+    xi = np.exp(_log_snr(log_p, f, k, d, bandwidth, params))
+    residual = np.abs(stationarity_lhs(xi) - (2.0 + k * d)).max()
     if residual > residual_tol:
         raise ConvergenceError(f"stationarity residual {residual:.3e} above tolerance")
-    return d, xi
+    return (float(d[0]), float(xi[0])) if scalar else (d, xi)
 
 
 def max_distance(
-    power: float,
-    rate_req: float,
-    frequency: float,
-    k_abs: float,
+    power,
+    rate_req,
+    frequency,
+    k_abs,
     bandwidth: float,
     params: LinkParams,
     d_min: float = D_MIN,
-) -> float:
+):
     """Largest distance at which the link still meets its rate floor.
 
     SNR(d) = 2^(rate_req/W) - 1 reduces to k d + 2 ln d = C, whose root is
     ln d = C/2 - omega(ln(k/2) + C/2) with omega the Wright omega function
-    (omega e^omega = e^z); k = 0 gives omega(-inf) = 0.
+    (omega e^omega = e^z); k = 0 gives omega(-inf) = 0. Scalars give a
+    float, arrays an array; InfeasibleError lists the elements whose floor
+    fails even at d_min.
     """
-    if not power > 0 or not rate_req > 0:
+    scalar, (p, req, f, k) = _device_arrays(power, rate_req, frequency, k_abs)
+    if not (np.all(p > 0) and np.all(req > 0)):
         raise ValueError("power and rate_req must be > 0")
-    log_xi_req = math.log(math.expm1(rate_req / bandwidth * _LN2))
-    log_p = math.log(power)
-    if _log_snr(log_p, frequency, k_abs, d_min, bandwidth, params) < log_xi_req:
+    log_xi_req = np.log(np.expm1(req / bandwidth * _LN2))
+    log_p = np.log(p)
+    bad = np.flatnonzero(_log_snr(log_p, f, k, d_min, bandwidth, params) < log_xi_req)
+    if bad.size:
         raise InfeasibleError(
-            f"rate floor {rate_req:.3e} bps unreachable even at d_min={d_min:g} m"
+            f"rate floor {req[bad[0]]:.3e} bps unreachable even at d_min={d_min:g} m", bad
         )
-    c = log_p - log_xi_req - log_inverse_gain(frequency, 0.0, 1.0, bandwidth, params)
-    z = math.log(k_abs / 2.0) + c / 2.0 if k_abs > 0 else -math.inf
-    return math.exp(c / 2.0 - wrightomega(z))
+    c = log_p - log_xi_req - log_inverse_gain(f, 0.0, 1.0, bandwidth, params)
+    with np.errstate(divide="ignore"):
+        z = np.where(k > 0, np.log(k / 2.0) + c / 2.0, -np.inf)
+    d = np.exp(c / 2.0 - wrightomega(z).real)
+    return float(d[0]) if scalar else d
 
 
 def classify_regime(
-    power: float,
-    rate_req: float,
-    frequency: float,
-    k_abs: float,
+    power,
+    rate_req,
+    frequency,
+    k_abs,
     bandwidth: float,
     params: LinkParams,
     d_min: float = D_MIN,
 ) -> RegimeResult:
-    """Pick the operating regime for one device at a fixed power.
+    """Pick the operating regime for each device at a fixed power.
 
     Rate floor below the spectral efficiency of the unconstrained optimum:
     use the optimum distance. Otherwise push the distance out to the largest
-    value that meets the floor exactly.
+    value that meets the floor exactly; `max_distance` is called for those
+    devices only. Scalars give a `RegimeResult` of floats, arrays one of
+    arrays with `regime` a tuple.
     """
-    d_o, xi_o = optimal_distance_pair(power, frequency, k_abs, bandwidth, params)
-    eta_o = math.log1p(xi_o) / _LN2
-    if rate_req <= bandwidth * eta_o:
-        return RegimeResult(Regime.TC_MAXIMIZED, d_o, xi_o, eta_o)
-    d_max = max_distance(power, rate_req, frequency, k_abs, bandwidth, params, d_min)
-    xi_req = math.expm1(rate_req / bandwidth * _LN2)
-    return RegimeResult(Regime.DISTANCE_MAXIMIZED, d_max, xi_req, rate_req / bandwidth)
+    scalar, (p, req, f, k) = _device_arrays(power, rate_req, frequency, k_abs)
+    d, xi = optimal_distance_pair(p, f, k, bandwidth, params)
+    eta = np.log1p(xi) / _LN2
+    pinned = req > bandwidth * eta
+    if pinned.any():
+        try:
+            d[pinned] = max_distance(
+                p[pinned], req[pinned], f[pinned], k[pinned], bandwidth, params, d_min
+            )
+        except InfeasibleError as exc:
+            raise InfeasibleError(str(exc), np.flatnonzero(pinned)[list(exc.devices)]) from exc
+        xi[pinned] = np.expm1(req[pinned] / bandwidth * _LN2)
+        eta[pinned] = req[pinned] / bandwidth
+    regimes = tuple(
+        Regime.DISTANCE_MAXIMIZED if flag else Regime.TC_MAXIMIZED for flag in pinned
+    )
+    if scalar:
+        return RegimeResult(regimes[0], float(d[0]), float(xi[0]), float(eta[0]))
+    return RegimeResult(regimes, d, xi, eta)
 
 
 def _log_power_coeff(log_xi, frequencies, k_abs, distances, bandwidth, params):

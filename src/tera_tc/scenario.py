@@ -98,7 +98,10 @@ def _parse_band(section: dict) -> BandPlan:
             )
         return BandPlan(tuple(subs))
     table_ref = _get(section, "band", "absorption_table", default="bundled")
-    table = bundled_absorption_table() if table_ref == "bundled" else AbsorptionTable.from_csv(table_ref)
+    try:
+        table = bundled_absorption_table() if table_ref == "bundled" else AbsorptionTable.from_csv(table_ref)
+    except OSError as exc:
+        raise ScenarioError(f"band: absorption_table {table_ref!r}: {exc.strerror or exc}") from exc
     return uniform_band(
         float(_get(section, "band", "f_start_hz")),
         float(_get(section, "band", "f_stop_hz")),

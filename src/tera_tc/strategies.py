@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .assignment import (
     EnumerationCapError,
@@ -23,6 +24,7 @@ from .assignment import (
 )
 from .channel import BandPlan, LinkParams, inverse_gain, log_inverse_gain
 from .distance_power import (
+    ConvergenceError,
     InfeasibleError,
     IterState,
     Regime,
@@ -252,10 +254,17 @@ def distance_max_benchmark(scenario: Scenario) -> Allocation:
     """Sum-distance maximization benchmark.
 
     Greedy min-floor/min-absorption subwindow pairing, then the KKT solution
-    of the sum-distance problem: each device's distance solves the
-    stationarity equation for a common dual, powers follow from the pinned
-    SNR requirement, and the dual is bisected onto the power budget. Every
-    device's rate ends up exactly at its floor.
+    of the sum-distance problem. Every device's rate sits exactly at its
+    floor, so its power is p_k(d) = e^{base_k} d^2 e^{k d}, and for a common
+    dual nu each distance solves p_k'(d) = 1/nu, i.e. in t = ln d
+
+        g(t) = base_k + t + ln(2 + k e^t) + k e^t = -ln nu.
+
+    g is increasing and convex, so array Newton started at the k = 0 root
+    (an upper bound) descends monotonically onto every device's root. Total
+    power is strictly decreasing in nu; ln nu is found by `brentq` on
+    ln sum(p) - ln P_T. `iterations` counts the dual evaluations, each one
+    array Newton solve over all devices.
     """
     reqs = scenario.rate_reqs
     if np.any(reqs <= 0):
@@ -270,48 +279,36 @@ def distance_max_benchmark(scenario: Scenario) -> Allocation:
 
     # Log power that meets each floor at 1 m without absorption.
     base = log_xi_req + log_inverse_gain(f, 0.0, 1.0, w, params)
+    evaluations = 0
 
     def log_powers(d: np.ndarray) -> np.ndarray:
         return log_xi_req + log_inverse_gain(f, k, d, w, params)
 
     def distances_for_nu(log_nu: float) -> np.ndarray:
-        # psi(d) = xi_req*sigma2*(2d + k d^2)*e^{k d}*(4 pi f/c)^2 / (GtGr)
-        # is strictly increasing in d; solve psi(d) = 1/nu by bisection.
-        target = -log_nu
+        nonlocal evaluations
+        evaluations += 1
+        t = -log_nu - base - math.log(2.0)
+        for _ in range(200):
+            x = k * np.exp(t)
+            g = base + t + np.log(2.0 + x) + x + log_nu
+            step = g / ((2.0 + 2.0 * x) / (2.0 + x) + x)
+            t -= step
+            if np.all(np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(t))):
+                return np.exp(t)
+        raise ConvergenceError("distance-maximization Newton iteration did not converge")
 
-        def log_psi(log_d):
-            d = np.exp(log_d)
-            return base + np.log(2.0 * d + k * d * d) + k * d
-
-        lo = np.full(len(f), math.log(1e-12))
-        hi = np.full(len(f), 0.0)
-        while True:
-            short = log_psi(hi) < target
-            if not short.any():
-                break
-            hi = np.where(short, hi + math.log(10.0), hi)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            below = log_psi(mid) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return np.exp(0.5 * (lo + hi))
-
-    def budget_gap(log_nu: float) -> float:
-        return np.exp(log_powers(distances_for_nu(log_nu))).sum() - params.p_total
+    def log_power_gap(log_nu: float) -> float:
+        log_p = log_powers(distances_for_nu(log_nu))
+        top = log_p.max()  # ln sum(p) without underflow or overflow
+        return top + math.log(np.exp(log_p - top).sum()) - math.log(params.p_total)
 
     lo, hi = 0.0, 0.0  # total power is strictly decreasing in nu
-    while budget_gap(lo) < 0:
+    while log_power_gap(lo) < 0:
         lo -= math.log(256.0)
-    while budget_gap(hi) > 0:
+    while log_power_gap(hi) > 0:
         hi += math.log(256.0)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if budget_gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    d = distances_for_nu(0.5 * (lo + hi))
+    log_nu = brentq(log_power_gap, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    d = distances_for_nu(log_nu)
     p = np.exp(log_powers(d))
     p *= params.p_total / p.sum()
     alloc = Allocation(
@@ -321,7 +318,7 @@ def distance_max_benchmark(scenario: Scenario) -> Allocation:
         distances=d,
         rates=reqs.astype(float).copy(),
         regimes=[Regime.DISTANCE_MAXIMIZED.value] * len(d),
-        iterations=80,
+        iterations=evaluations,
     )
     audit_allocation(alloc, scenario, check_rate_floors=True)
     return alloc
@@ -331,7 +328,7 @@ def non_adaptive_benchmark(scenario: Scenario) -> Allocation:
     """Non-adaptive benchmark: devices sorted by descending rate floor take
     subwindows in band order, power is split equally, and each distance is
     the per-device TC optimum (or the floor-meeting maximum when the
-    optimum violates the floor)."""
+    optimum violates the floor), all from one array `classify_regime`."""
     reqs = scenario.rate_reqs
     band = scenario.band
     params = scenario.params
@@ -339,37 +336,29 @@ def non_adaptive_benchmark(scenario: Scenario) -> Allocation:
     order = np.argsort(-reqs, kind="stable")
     n_of_k = np.empty(n_dev, dtype=int)
     n_of_k[order] = np.arange(n_dev)
-    p_eq = params.p_total / n_dev
-    d = np.empty(n_dev)
-    rates = np.empty(n_dev)
-    regimes = []
-    infeasible = []
-    for i in range(n_dev):
-        f = band.frequencies[n_of_k[i]]
-        k = band.k_abs[n_of_k[i]]
-        try:
-            res = classify_regime(
-                p_eq, reqs[i], f, k, band.bandwidth, params, scenario.config.d_min
-            )
-        except InfeasibleError:
-            infeasible.append(i)
-            continue
-        d[i] = res.d_opt
-        rates[i] = (
-            reqs[i]
-            if res.regime is Regime.DISTANCE_MAXIMIZED
-            else band.bandwidth * res.spectral_eff_opt
+    p_eq = np.full(n_dev, params.p_total / n_dev)
+    try:
+        res = classify_regime(
+            p_eq,
+            reqs,
+            band.frequencies[n_of_k],
+            band.k_abs[n_of_k],
+            band.bandwidth,
+            params,
+            scenario.config.d_min,
         )
-        regimes.append(res.regime.value)
-    if infeasible:
-        raise InfeasibleError("equal power split cannot meet rate floors", infeasible)
+    except InfeasibleError as exc:
+        raise InfeasibleError(
+            "equal power split cannot meet rate floors", exc.devices
+        ) from exc
+    pinned = np.array(res.regime) == Regime.DISTANCE_MAXIMIZED
     alloc = Allocation(
         strategy="nonadaptive",
         subwindows=n_of_k,
-        powers=np.full(n_dev, p_eq),
-        distances=d,
-        rates=rates,
-        regimes=regimes,
+        powers=p_eq,
+        distances=res.d_opt,
+        rates=np.where(pinned, reqs, band.bandwidth * res.spectral_eff_opt),
+        regimes=[r.value for r in res.regime],
         iterations=1,
     )
     audit_allocation(alloc, scenario, check_rate_floors=True)

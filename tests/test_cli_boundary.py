@@ -1,0 +1,68 @@
+"""The CLI and scenario loader turn bad inputs into exit code 2 with a message."""
+
+import json
+
+import pytest
+
+from tera_tc.cli import main
+from tera_tc.scenario import ScenarioError, scenario_from_dict
+
+LINK_CURVE = ["link-curve", "--f", "5e11", "--kabs", "0.1", "--power", "10"]
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--d-min", "0"], "--d-min"),
+        (["--d-min", "-1"], "--d-min"),
+        (["--d-min", "nan"], "--d-min"),
+        (["--d-min", "5", "--d-max", "5"], "--d-max"),
+        (["--d-min", "5", "--d-max", "1"], "--d-max"),
+        (["--d-max", "inf"], "--d-max"),
+    ],
+)
+def test_link_curve_rejects_bad_distance_range(tmp_path, capsys, extra, flag):
+    out = tmp_path / "curve.csv"
+    assert main(LINK_CURVE + extra + ["--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_link_curve_default_range_still_writes(tmp_path):
+    out = tmp_path / "curve.csv"
+    assert main(LINK_CURVE + ["--points", "5", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 5 + 1  # header, grid, optimum
+
+
+def _doc_with_table(path):
+    return {
+        "band": {
+            "f_start_hz": 5e11,
+            "f_stop_hz": 5.1e11,
+            "n_subwindows": 4,
+            "absorption_table": str(path),
+        },
+        "link_params": {
+            "gain_tx_dbi": 15.0,
+            "gain_rx_dbi": 15.0,
+            "noise_psd_dbm_per_hz": -168.0,
+            "p_total_dbm": 30.0,
+        },
+        "devices": [{"count": 2, "rate_req_bps_per_hz": 1.0}],
+    }
+
+
+def test_missing_absorption_table_names_band_and_path(tmp_path):
+    missing = tmp_path / "no_such_table.csv"
+    with pytest.raises(ScenarioError, match="^band: ") as err:
+        scenario_from_dict(_doc_with_table(missing))
+    assert str(missing) in str(err.value)
+
+
+def test_validate_exits_2_on_missing_absorption_table(tmp_path, capsys):
+    missing = tmp_path / "no_such_table.csv"
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(_doc_with_table(missing)))
+    assert main(["validate", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert "band" in err and str(missing) in err
