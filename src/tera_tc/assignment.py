@@ -4,6 +4,27 @@
 scipy's linear_sum_assignment on the max-entry-minus-payoff cost matrix);
 `exhaustive_assign` enumerates every injection of devices into subwindows
 and serves as the optimality oracle for small instances.
+
+THz payoffs are close to rank one: every device ranks the subwindows in
+nearly the same order (the f^2 spreading ladder plus the absorption lines).
+That is the slow case for scipy's shortest-augmenting-path search, which
+starts from zero dual prices (Crouse, IEEE TAES 2016). So for a square
+payoff `hungarian_assign` first subtracts estimated column prices v from
+the cost (Jonker & Volgenant, Computing 38, 1987, start from good prices
+too). The shift is exact: every complete assignment uses every column
+once, so it lowers every total by the same sum(v) and the optimum does not
+change; only the length of the search does. The result can differ from the
+plain call only where two assignments tie to rounding in the cost matrix
+scipy is given: swapping two devices whose payoffs are tiny can change
+the total by less than the rounding of payoff.max() - payoff.
+
+Two cases keep the plain call:
+
+- rectangular K < N payoffs, where a column shift would change which
+  subwindows stay unused;
+- payoffs with equal rows (round 0 of `proposed_tc_max` builds every row
+  from the same uniform distance and power). Every permutation is then
+  optimal and scipy's own tie-break picks the one returned.
 """
 
 from __future__ import annotations
@@ -54,14 +75,72 @@ def check_assignment(n_of_k, n_subwindows: int) -> None:
         raise AssignmentError("a subwindow is assigned to more than one device")
 
 
+def _may_have_equal_rows(cost: np.ndarray) -> bool:
+    """Whether two rows of a nonnegative cost matrix may be equal.
+
+    Each row is projected on a fixed positive vector. BLAS may sum two
+    equal rows in different orders, so their projections can differ by
+    rounding, at most 2n eps times their value since every term is
+    nonnegative; projections that close count as equal. A false alarm only
+    costs speed.
+    """
+    n = cost.shape[1]
+    h = np.sort(cost @ np.linspace(1.0, 2.0, n))
+    return bool(np.any(np.diff(h) <= 4.0 * n * np.finfo(float).eps * h[1:]))
+
+
+def _column_potentials(payoff: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Sorted-chain estimate of the column duals of a square cost matrix.
+
+    Columns are scored by their summed row-normalised cost, rows by their
+    slope against that score; one power-iteration step re-scores the
+    columns by the rows' slopes, and the rows' slopes are taken again. The
+    steepest row is paired with the lowest-scored column, and so on down
+    both rankings. For two neighbours on this chain, (r0, c0) and (r1, c1), dual
+    feasibility bounds v[c1] - v[c0] from above by cost[r0, c1] -
+    cost[r0, c0] and from below by cost[r1, c1] - cost[r1, c0]; the
+    midpoints telescope along the chain. O(n^2) work, no n x n temporary.
+    """
+    n = cost.shape[0]
+    scale = np.maximum(payoff.max(axis=1), -payoff.min(axis=1))
+    w = np.divide(1.0, scale, out=np.zeros(n), where=scale > 0)
+    score = w @ cost
+    slope = w * (cost @ (score - score.mean()))
+    score = (slope - slope.mean()) @ cost
+    slope = w * (cost @ (score - score.mean()))
+    rows = np.argsort(-slope, kind="stable")
+    cols = np.argsort(score, kind="stable")
+    r0, r1, c0, c1 = rows[:-1], rows[1:], cols[:-1], cols[1:]
+    step = 0.5 * ((cost[r0, c1] - cost[r0, c0]) + (cost[r1, c1] - cost[r1, c0]))
+    v = np.empty(n)
+    v[cols] = np.concatenate(([0.0], np.cumsum(step)))
+    return v
+
+
+def _shift_columns(payoff: np.ndarray, cost: np.ndarray) -> None:
+    """Subtract `_column_potentials` from a square cost matrix in place,
+    unless two rows may be equal or the shifted cost could overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _may_have_equal_rows(cost):
+            return
+        v = _column_potentials(payoff, cost)
+        # cost >= 0, so |cost - v| stays below this bound.
+        if np.isfinite(cost.max() + np.abs(v).max()):
+            cost -= v
+
+
 def hungarian_assign(payoff) -> np.ndarray:
     """Assignment maximizing the total payoff, one subwindow per device.
 
     Returns an int array `n_of_k` of length K. Rectangular K < N matrices
-    are handled directly (unassigned subwindows are simply unused).
+    are handled directly (unassigned subwindows are simply unused). A
+    square payoff with pairwise distinct rows is solved on the cost shifted
+    by `_column_potentials` (see the module docstring).
     """
     payoff = _check_payoff(payoff)
     cost = payoff.max() - payoff
+    if cost.shape[0] == cost.shape[1]:
+        _shift_columns(payoff, cost)
     rows, cols = linear_sum_assignment(cost)
     n_of_k = np.empty(payoff.shape[0], dtype=int)
     n_of_k[rows] = cols

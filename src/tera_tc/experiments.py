@@ -76,11 +76,11 @@ def _device_rows(experiment: str, strategy: str, sweep_value, trial: int, scenar
 
 
 def _run_strategy_job(job):
-    """One (strategy, scenario) work item; top-level so it pickles."""
-    experiment, strategy, sweep_value, trial, scenario, check_floors = job
+    """One (strategy, scenario) work item; top-level so it pickles. Every
+    strategy audits its own allocation."""
+    experiment, strategy, sweep_value, trial, scenario = job
     try:
         alloc = STRATEGIES[strategy](scenario)
-        audit_allocation(alloc, scenario, check_rate_floors=check_floors)
     except Exception as exc:  # recorded per row, sweep continues
         return _summary_row(experiment, strategy, sweep_value, trial, None, f"{type(exc).__name__}: {exc}"), []
     return (
@@ -90,10 +90,16 @@ def _run_strategy_job(job):
 
 
 def _map_jobs(fn, jobs, workers: int):
-    """fn over jobs in order, in a process pool when workers > 1."""
+    """fn over jobs in order, in a process pool when workers > 1.
+
+    Jobs go to the workers in about four chunks per worker, so a
+    `Scenario` shared by many jobs is pickled once per chunk rather than
+    once per job.
+    """
     if workers > 1:
+        chunksize = max(1, math.ceil(len(jobs) / (4 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
+            return list(pool.map(fn, jobs, chunksize=chunksize))
     return [fn(job) for job in jobs]
 
 
@@ -113,7 +119,7 @@ def run_tc_vs_power(scenario: Scenario, spec: ExperimentSpec, workers: int = 1):
     for p_dbm in spec.grid:
         sc = replace(scenario, params=replace(scenario.params, p_total=float(dbm_to_watts(p_dbm))))
         for strategy in spec.strategies:
-            jobs.append((spec.kind, strategy, p_dbm, 0, sc, strategy in _FLOOR_STRATEGIES))
+            jobs.append((spec.kind, strategy, p_dbm, 0, sc))
     return _run_jobs(jobs, workers)
 
 
@@ -131,7 +137,7 @@ def run_tc_vs_devices(scenario: Scenario, spec: ExperimentSpec, workers: int = 1
         devices = fig8_rate_tiers(int(k_count), scenario.band.bandwidth)
         sc = replace(scenario, devices=devices)
         for strategy in spec.strategies:
-            jobs.append((spec.kind, strategy, k_count, 0, sc, strategy in _FLOOR_STRATEGIES))
+            jobs.append((spec.kind, strategy, k_count, 0, sc))
     return _run_jobs(jobs, workers)
 
 
@@ -152,7 +158,6 @@ def _cdf_job(job):
     sc = replace(scenario, devices=devices)
     try:
         alloc = STRATEGIES[strategy](sc)
-        audit_allocation(alloc, sc, check_rate_floors=False)
     except Exception as exc:
         return _summary_row(experiment, strategy, radius, trial, None, f"{type(exc).__name__}: {exc}"), []
     return _summary_row(experiment, strategy, radius, trial, alloc), list(alloc.rates)

@@ -114,7 +114,8 @@ class Allocation:
 def audit_allocation(
     alloc: Allocation, scenario: Scenario, check_rate_floors: bool
 ) -> None:
-    """Feasibility audit: assignment validity, power budget, rate floors."""
+    """Feasibility audit: assignment validity, power budget, distances of
+    at least `scenario.config.d_min`, rate floors."""
     check_assignment(alloc.subwindows, scenario.band.n)
     p_total = scenario.params.p_total
     if alloc.power_used > p_total * (1.0 + 1e-9):
@@ -123,6 +124,10 @@ def audit_allocation(
         )
     if np.any(alloc.powers < 0) or np.any(alloc.distances <= 0):
         raise InfeasibleError("negative power or non-positive distance in allocation")
+    d_min = scenario.config.d_min
+    short = np.flatnonzero(alloc.distances < d_min * (1.0 - 1e-9))
+    if short.size:
+        raise InfeasibleError(f"distances below d_min = {d_min:g} m", short)
     if check_rate_floors:
         floors = scenario.rate_reqs
         bad = np.flatnonzero(alloc.rates < floors * (1.0 - 1e-9))

@@ -1,8 +1,20 @@
-"""One-to-one assignment: Hungarian production path vs. exhaustive oracle."""
+"""One-to-one assignment: Hungarian production path vs. exhaustive oracle.
+
+The property tests (hypothesis) compare the column-shifted Hungarian call
+with the plain `linear_sum_assignment(payoff.max() - payoff)` call and
+with the exhaustive oracle.
+"""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
+from tera_tc import assignment
 from tera_tc.assignment import (
     AssignmentError,
     EnumerationCapError,
@@ -11,6 +23,11 @@ from tera_tc.assignment import (
     exhaustive_assign,
     hungarian_assign,
 )
+from tera_tc.channel import bundled_absorption_table
+from tera_tc.scenario import uniform_band
+from tera_tc.strategies import DeviceSpec, Scenario, _rate_matrix
+from tera_tc.units import dbm_to_watts
+from conftest import make_params
 
 
 def test_single_entry():
@@ -89,3 +106,132 @@ def test_check_assignment():
         check_assignment([0, 0], 3)
     with pytest.raises(AssignmentError):
         check_assignment([0, 3], 3)
+
+
+def _plain_assign(payoff) -> np.ndarray:
+    payoff = np.asarray(payoff, dtype=float)
+    rows, cols = linear_sum_assignment(payoff.max() - payoff)
+    n_of_k = np.empty(payoff.shape[0], dtype=int)
+    n_of_k[rows] = cols
+    return n_of_k
+
+
+def _assign_recording_cost(payoff):
+    """hungarian_assign(payoff) and the cost matrix it handed to scipy."""
+    with mock.patch.object(
+        assignment, "linear_sum_assignment", wraps=linear_sum_assignment
+    ) as lsap:
+        n_of_k = hungarian_assign(payoff)
+    (cost,), _ = lsap.call_args
+    return n_of_k, cost
+
+
+def _thz_payoff(k: int, d, p_dbm, weighted: bool) -> np.ndarray:
+    """The payoff `proposed_tc_max` (weighted) or `sum_rate_max` builds."""
+    band = uniform_band(5e11, 6e11, k, bundled_absorption_table())
+    sc = Scenario(band=band, params=make_params(), devices=(DeviceSpec(),) * k)
+    rates = _rate_matrix(sc, d, dbm_to_watts(np.asarray(p_dbm)))
+    return np.asarray(d)[:, None] * rates if weighted else rates
+
+
+@st.composite
+def _thz_payoffs(draw):
+    k = draw(st.integers(2, 80))
+    d = draw(arrays(float, k, elements=st.floats(0.05, 40.0), unique=True))
+    p_dbm = draw(arrays(float, k, elements=st.floats(-20.0, 30.0), unique=True))
+    return _thz_payoff(k, d, p_dbm, draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_thz_payoffs())
+def test_thz_payoff_matches_plain_call(payoff):
+    got = hungarian_assign(payoff)
+    plain = _plain_assign(payoff)
+    if not np.array_equal(got, plain):
+        # Only where scipy's input holds a tie: swapping two far devices on
+        # absorption lines can change the total by less than the rounding
+        # of payoff.max() - payoff.
+        plain_cost = payoff.max() - payoff
+        assert assignment_payoff(plain_cost, got) == pytest.approx(
+            assignment_payoff(plain_cost, plain), rel=1e-12, abs=0.0
+        )
+
+
+def test_thz_payoff_near_devices_shifted_and_identical():
+    rng = np.random.default_rng(7)
+    for k in (2, 17, 80):
+        d = rng.uniform(0.05, 10.0, k)
+        for weighted in (True, False):
+            payoff = _thz_payoff(k, d, rng.uniform(-20.0, 30.0, k), weighted)
+            got, cost = _assign_recording_cost(payoff)
+            assert not np.array_equal(cost, payoff.max() - payoff)  # the shift is applied
+            assert np.array_equal(got, _plain_assign(payoff))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda k: arrays(float, (k, k), elements=st.integers(0, 9))))
+def test_integer_payoff_total_matches_plain_call(payoff):
+    got = hungarian_assign(payoff)
+    assert assignment_payoff(payoff, got) == assignment_payoff(payoff, _plain_assign(payoff))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 30).flatmap(
+        lambda k: st.tuples(
+            arrays(float, (k, k), elements=st.floats(0.0, 1e6)),
+            arrays(int, k, elements=st.integers(0, k - 1)).filter(
+                lambda idx: len(np.unique(idx)) < k
+            ),
+        )
+    )
+)
+def test_duplicate_rows_keep_plain_call(case):
+    rows, idx = case
+    payoff = rows[idx]  # at least two equal rows
+    got, cost = _assign_recording_cost(payoff)
+    assert np.array_equal(cost, payoff.max() - payoff)
+    assert np.array_equal(got, _plain_assign(payoff))
+
+
+def test_identical_rows_keep_scipy_tie_break():
+    # Round 0 of proposed_tc_max: every device at the same distance and power.
+    k = 60
+    payoff = _thz_payoff(k, np.full(k, 10.0), np.full(k, 20.0), weighted=True)
+    got, cost = _assign_recording_cost(payoff)
+    assert np.array_equal(cost, payoff.max() - payoff)
+    assert np.array_equal(got, _plain_assign(payoff))
+
+
+def test_shift_that_could_overflow_keeps_plain_call():
+    # Costs near the float maximum: cost - v could overflow to inf.
+    payoff = np.random.default_rng(0).random((6, 6)) * 1.7e308
+    got, cost = _assign_recording_cost(payoff)
+    assert np.array_equal(cost, payoff.max() - payoff)
+    assert np.array_equal(got, _plain_assign(payoff))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda k: st.integers(k + 1, 16).flatmap(
+            lambda n: arrays(float, (k, n), elements=st.floats(0.0, 1e6))
+        )
+    )
+)
+def test_rectangular_payoff_keeps_plain_call(payoff):
+    got, cost = _assign_recording_cost(payoff)
+    assert np.array_equal(cost, payoff.max() - payoff)
+    assert np.array_equal(got, _plain_assign(payoff))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: arrays(float, (k, k), elements=st.floats(-1e3, 1e3))
+    )
+)
+def test_small_payoff_agrees_with_exhaustive(payoff):
+    got = hungarian_assign(payoff)
+    best = assignment_payoff(payoff, exhaustive_assign(payoff))
+    assert assignment_payoff(payoff, got) == pytest.approx(best, rel=1e-12, abs=1e-9)

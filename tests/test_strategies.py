@@ -8,8 +8,8 @@ import pytest
 
 from tera_tc.assignment import EnumerationCapError
 from tera_tc.channel import BandPlan, Subwindow, bundled_absorption_table, inverse_gain
-from tera_tc.distance_power import SolverConfig, iterate_power_distance
-from tera_tc.scenario import uniform_band
+from tera_tc.distance_power import InfeasibleError, SolverConfig, iterate_power_distance
+from tera_tc.scenario import default_scenario, uniform_band
 from tera_tc.strategies import (
     Allocation,
     DeviceSpec,
@@ -314,6 +314,31 @@ class TestScenarioAndAudit:
         )
         with pytest.raises(Exception, match="budget"):
             audit_allocation(bad, sc, check_rate_floors=False)
+
+    def test_audit_names_devices_below_d_min(self):
+        sc = fixed_scenario([5.0, 9.0, 7.0], [0.1, 0.2, 0.3])
+        alloc = fixed_distance_tc_max(sc)
+        bad = dataclasses.replace(alloc, distances=np.array([5.0, 1e-13, 1e-4]))
+        with pytest.raises(InfeasibleError, match="d_min") as info:
+            audit_allocation(bad, sc, check_rate_floors=False)
+        assert list(info.value.devices) == [1, 2]
+
+    @pytest.mark.parametrize("strategy", [distance_max_benchmark, proposed_tc_max])
+    def test_floors_out_of_reach_raise_below_d_min(self, strategy):
+        # Floors of 1-45 bps/Hz at -10 dBm: both strategies used to return
+        # distances of 1e-13 to 1e-11 m for the top floors and pass the audit.
+        sc, _ = default_scenario()
+        w = sc.band.bandwidth
+        sc = dataclasses.replace(
+            sc,
+            params=dataclasses.replace(sc.params, p_total=float(dbm_to_watts(-10.0))),
+            devices=tuple(
+                DeviceSpec(rate_req=float(r) * w) for r in np.linspace(1.0, 45.0, sc.n_devices)
+            ),
+        )
+        with pytest.raises(InfeasibleError, match="d_min") as info:
+            strategy(sc)
+        assert sc.n_devices - 1 in info.value.devices
 
     def test_audit_catches_floor_violation(self):
         band = small_band([0.1, 0.2])
