@@ -11,6 +11,7 @@ with :mod:`tera_tc.units` before constructing these types.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -29,7 +30,12 @@ _LOG_HUGE = 700.0
 
 
 class DomainError(ValueError):
-    """An input is outside the physical domain of a channel function."""
+    """An input is outside the physical domain of a channel function;
+    `field` names the offending attribute where there is one."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -50,8 +56,8 @@ class LinkParams:
 
     def __post_init__(self):
         for name in ("gt_linear", "gr_linear", "n0", "p_total", "c"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"LinkParams.{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"LinkParams.{name} must be finite and > 0", name)
 
 
 @dataclass(frozen=True)
@@ -64,8 +70,9 @@ class Subwindow:
     k_abs: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.frequency, self.bandwidth, self.k_abs])):
-            raise DomainError("subwindow frequency, bandwidth and k_abs must be finite")
+        for name in ("frequency", "bandwidth", "k_abs"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"subwindow {name} must be finite", name)
 
 
 @dataclass(frozen=True)
@@ -82,11 +89,11 @@ class BandPlan:
         w = np.array([s.bandwidth for s in self.subwindows])
         k = np.array([s.k_abs for s in self.subwindows])
         if np.any(f <= 0) or np.any(np.diff(f) <= 0):
-            raise DomainError("subwindow frequencies must be positive and strictly increasing")
+            raise DomainError("subwindow frequencies must be positive and strictly increasing", "frequency")
         if np.any(w <= 0) or not np.allclose(w, w[0], rtol=1e-12, atol=0.0):
-            raise DomainError("subwindow bandwidths must be positive and identical")
+            raise DomainError("subwindow bandwidths must be positive and identical", "bandwidth")
         if np.any(k < 0):
-            raise DomainError("absorption coefficients must be >= 0")
+            raise DomainError("absorption coefficients must be >= 0", "k_abs")
 
     @property
     def n(self) -> int:

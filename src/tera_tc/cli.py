@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channel import LinkParams
+from .channel import BandPlan, DomainError, LinkParams, Subwindow
 from .experiments import link_curve, run_experiment, write_results
 from .scenario import ScenarioError, load_scenario
 from .units import db_to_linear, dbm_to_watts
@@ -45,19 +45,30 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+#: The link-curve flag behind each `DomainError.field`.
+_LINK_CURVE_FLAGS = {
+    "frequency": "--f", "bandwidth": "--bandwidth", "k_abs": "--kabs", "p_total": "--power",
+    "gt_linear": "--gain-dbi", "gr_linear": "--gain-dbi", "n0": "--noise-dbm-per-hz",
+}
+
+
 def _cmd_link_curve(args) -> int:
     if not 0 < args.d_min < math.inf:
         raise ScenarioError(f"--d-min must be finite and > 0, got {args.d_min:g}")
     if not args.d_min < args.d_max < math.inf:
         raise ScenarioError(f"--d-max must be finite and > --d-min, got {args.d_max:g}")
-    params = LinkParams(
-        gt_linear=float(db_to_linear(args.gain_dbi)),
-        gr_linear=float(db_to_linear(args.gain_dbi)),
-        n0=float(dbm_to_watts(args.noise_dbm_per_hz)),
-        p_total=float(dbm_to_watts(args.power)),
-    )
+    try:
+        (sub,) = BandPlan((Subwindow(args.f, args.bandwidth, args.kabs),)).subwindows
+        params = LinkParams(
+            gt_linear=float(db_to_linear(args.gain_dbi)),
+            gr_linear=float(db_to_linear(args.gain_dbi)),
+            n0=float(dbm_to_watts(args.noise_dbm_per_hz)),
+            p_total=float(dbm_to_watts(args.power)),
+        )
+    except DomainError as exc:
+        raise ScenarioError(f"{_LINK_CURVE_FLAGS[exc.field]}: {exc}") from exc
     d = np.logspace(np.log10(args.d_min), np.log10(args.d_max), args.points)
-    rows = link_curve(args.f, args.kabs, args.bandwidth, params, d)
+    rows = link_curve(sub.frequency, sub.k_abs, sub.bandwidth, params, d)
     write_results(rows, args.out)
     print(f"wrote {args.out}")
     return 0

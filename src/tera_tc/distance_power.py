@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import lambertw, wrightomega
 
 from .channel import D_MIN, LinkParams, log_inverse_gain
@@ -55,7 +54,8 @@ class SolverConfig:
     eps is the stop tolerance on the change of total transport capacity per
     inner iteration; with eps_relative=True it is scaled by max(1, TC), since
     an absolute 1e-6 m*bps would never trigger at realistic TC magnitudes.
-    Needs m_out >= 1, max_inner >= 1, 0 <= alpha < 1 and d_init > 0.
+    Needs m_out >= 1, max_inner >= 1, 0 <= alpha < 1, finite d_init > 0,
+    finite d_min > 0 and finite eps >= 0.
     """
 
     alpha: float = 0.7
@@ -72,8 +72,11 @@ class SolverConfig:
             raise ValueError("m_out and max_inner must be >= 1")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must be in [0, 1)")
-        if not 0.0 < self.d_init < math.inf:
-            raise ValueError("d_init must be finite and > 0")
+        for name in ("d_init", "d_min"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError("eps must be finite and >= 0")
 
 
 class Regime(enum.Enum):
@@ -230,6 +233,17 @@ def max_distance(
     return float(d[0]) if scalar else d
 
 
+def _pin_to_floor(mask, p, req, f, k, bandwidth, params, d_min):
+    """(distances, SNRs) at which the masked devices meet their rate floors
+    exactly at their powers; InfeasibleError names devices by their index in
+    the unmasked arrays."""
+    try:
+        d = max_distance(p[mask], req[mask], f[mask], k[mask], bandwidth, params, d_min)
+    except InfeasibleError as exc:
+        raise InfeasibleError(str(exc), np.flatnonzero(mask)[list(exc.devices)]) from exc
+    return d, np.expm1(req[mask] / bandwidth * _LN2)
+
+
 def classify_regime(
     power,
     rate_req,
@@ -252,13 +266,7 @@ def classify_regime(
     eta = np.log1p(xi) / _LN2
     pinned = req > bandwidth * eta
     if pinned.any():
-        try:
-            d[pinned] = max_distance(
-                p[pinned], req[pinned], f[pinned], k[pinned], bandwidth, params, d_min
-            )
-        except InfeasibleError as exc:
-            raise InfeasibleError(str(exc), np.flatnonzero(pinned)[list(exc.devices)]) from exc
-        xi[pinned] = np.expm1(req[pinned] / bandwidth * _LN2)
+        d[pinned], xi[pinned] = _pin_to_floor(pinned, p, req, f, k, bandwidth, params, d_min)
         eta[pinned] = req[pinned] / bandwidth
     regimes = tuple(
         Regime.DISTANCE_MAXIMIZED if flag else Regime.TC_MAXIMIZED for flag in pinned
@@ -329,67 +337,29 @@ def _pin_masks(distances, k_abs, rate_reqs, bandwidth):
     return pinned, xi_tilde
 
 
-def _enforce_rate_floors(d, log_p, frequencies, k_abs, rate_reqs, bandwidth, params):
-    """Final feasibility repair: devices with binding floors get powers set
-    so their SNR hits the floor exactly at their distance, with the pinned
-    distances rescaled by a common factor to keep the budget exact.
+def _enforce_rate_floors(d, log_p, f, k, req, bandwidth, params, d_min):
+    """Final feasibility repair in one pass: pin every device whose floor binds
+    at its distance (`_pin_masks`) or whose rate misses it by more than 1e-12
+    relative. Free devices keep their distance and power; the pinned ones split
+    what the free ones leave of the budget in proportion to their powers and
+    move out to `max_distance` (never below d_min), so their rates are the floors.
 
     Returns (distances, powers, snrs, rates, pinned mask).
     """
-    n = len(d)
-    log_xi_req = np.where(
-        rate_reqs > 0, np.log(np.expm1(np.maximum(rate_reqs, 1e-300) / bandwidth * _LN2)), -np.inf
-    )
-    pinned, _ = _pin_masks(d, k_abs, rate_reqs, bandwidth)
-    for _ in range(n + 1):
-        free = ~pinned
-        p_free = np.exp(log_p[free])
-        budget_pin = params.p_total - p_free.sum()
-        d_new = d.copy()
-        log_p_new = log_p.copy()
-        if pinned.any():
-            if budget_pin <= 0:
-                raise InfeasibleError(
-                    "rate floors leave no power budget", np.flatnonzero(pinned)
-                )
-            d_pin = d[pinned]
-            f_pin = np.asarray(frequencies)[pinned]
-            k_pin = np.asarray(k_abs)[pinned]
-            lxr = log_xi_req[pinned]
-
-            def excess(log_s):
-                lp = lxr + log_inverse_gain(
-                    f_pin, k_pin, math.exp(log_s) * d_pin, bandwidth, params
-                )
-                return np.exp(lp).sum() - budget_pin  # increasing in s
-
-            lo, hi = math.log(1e-9), 0.0
-            if excess(lo) > 0:
-                raise InfeasibleError(
-                    "rate floors unreachable within the power budget",
-                    np.flatnonzero(pinned),
-                )
-            while excess(hi) < 0:
-                hi += math.log(2.0)
-                if hi > 50:
-                    raise ConvergenceError("rate-floor repair bracket expansion failed")
-            log_s = brentq(excess, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=300)
-            s = math.exp(log_s)
-            d_new[pinned] = s * d_pin
-            log_p_new[pinned] = lxr + log_inverse_gain(
-                f_pin, k_pin, d_new[pinned], bandwidth, params
-            )
-        snrs = np.exp(
-            log_p_new - log_inverse_gain(frequencies, k_abs, d_new, bandwidth, params)
-        )
-        snrs[pinned] = np.exp(log_xi_req[pinned])  # exact by construction
-        rates = bandwidth * np.log1p(snrs) / _LN2
-        rates[pinned] = np.asarray(rate_reqs, dtype=float)[pinned]
-        violated = free & (rates < np.asarray(rate_reqs) * (1.0 - 1e-12))
-        if not violated.any():
-            return d_new, np.exp(log_p_new), snrs, rates, pinned
-        pinned = pinned | violated
-    raise ConvergenceError("rate-floor repair did not stabilize")
+    p = np.exp(log_p)
+    snrs = np.exp(log_p - log_inverse_gain(f, k, d, bandwidth, params))
+    rates = bandwidth * np.log1p(snrs) / _LN2
+    pinned, _ = _pin_masks(d, k, req, bandwidth)
+    pinned |= rates < req * (1.0 - 1e-12)
+    if pinned.any():
+        budget_pin = params.p_total - p[~pinned].sum()
+        if budget_pin <= 0:
+            raise InfeasibleError("rate floors leave no power budget", np.flatnonzero(pinned))
+        p[pinned] *= budget_pin / p[pinned].sum()
+        d = d.copy()
+        d[pinned], snrs[pinned] = _pin_to_floor(pinned, p, req, f, k, bandwidth, params, d_min)
+        rates[pinned] = req[pinned]
+    return d, p, snrs, rates, pinned
 
 
 def iterate_power_distance(
@@ -407,8 +377,10 @@ def iterate_power_distance(
     each device's SNR target (stationary value, or the rate floor's SNR when
     the floor binds), solve the budget dual for the proposed distances,
     smooth, and recompute powers. Stops when the total transport capacity
-    changes by at most eps (relative by default). On termination every rate
-    floor is enforced exactly via a final repair step.
+    changes by at most eps (relative by default). On termination
+    `_enforce_rate_floors` pins the devices whose floors bind or fail: they
+    split what the free devices leave of the budget in proportion to their
+    powers and sit at `max_distance` (at least `config.d_min`), on their floors.
     """
     f = np.asarray(frequencies, dtype=float)
     k = np.asarray(k_abs, dtype=float)
@@ -454,7 +426,7 @@ def iterate_power_distance(
         )
 
     d, p, snrs, rates, pinned = _enforce_rate_floors(
-        d, log_p, f, k, req, bandwidth, params
+        d, log_p, f, k, req, bandwidth, params, config.d_min
     )
     regimes = [
         Regime.DISTANCE_MAXIMIZED if flag else Regime.TC_MAXIMIZED for flag in pinned

@@ -129,7 +129,9 @@ def _parse_link_params(section: dict) -> LinkParams:
     return LinkParams(gt_linear=gt, gr_linear=gr, n0=n0, p_total=p_total, c=c)
 
 
-def _parse_devices(entries, bandwidth: float) -> tuple[DeviceSpec, ...]:
+def _parse_devices(entries, bandwidth: float, n_subwindows: int) -> tuple[DeviceSpec, ...]:
+    """The device list, expanded by each entry's `count`; the running total
+    is checked against the subwindows before any entry is expanded."""
     if not entries:
         raise ScenarioError("devices: list must be non-empty")
     devices = []
@@ -138,6 +140,10 @@ def _parse_devices(entries, bandwidth: float) -> tuple[DeviceSpec, ...]:
         count = int(row.get("count", 1))
         if count < 1:
             raise ScenarioError(f"{ctx}.count: must be >= 1")
+        if len(devices) + count > n_subwindows:
+            raise ScenarioError(
+                f"{ctx}.count: {len(devices) + count} devices exceed {n_subwindows} subwindows"
+            )
         if "rate_req_bps" in row:
             req = float(row["rate_req_bps"])
         elif "rate_req_bps_per_hz" in row:
@@ -194,7 +200,7 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, ExperimentSpec]:
         params = _parse_link_params(doc["link_params"])
     except DomainError as exc:
         raise ScenarioError(f"link_params: {exc}") from exc
-    devices = _parse_devices(doc["devices"], band.bandwidth)
+    devices = _parse_devices(doc["devices"], band.bandwidth, band.n)
     config = _parse_solver(doc.get("solver", {}))
     try:
         scenario = Scenario(band=band, params=params, devices=devices, config=config)

@@ -202,6 +202,14 @@ class TestValidation:
         with pytest.raises(DomainError):
             LinkParams(gt_linear=1.0, gr_linear=1.0, n0=1e-21, p_total=0.0)
 
+    @pytest.mark.parametrize("name", ["gt_linear", "gr_linear", "n0", "p_total", "c"])
+    def test_link_params_infinite_rejected(self, name):
+        fields = dict(gt_linear=1.0, gr_linear=1.0, n0=1e-21, p_total=1.0, c=3e8)
+        fields[name] = math.inf
+        with pytest.raises(DomainError, match=f"LinkParams.{name} must be finite") as err:
+            LinkParams(**fields)
+        assert err.value.field == name
+
     def test_band_plan_ordering(self):
         with pytest.raises(DomainError):
             BandPlan((Subwindow(6e11, 1e9, 0.1), Subwindow(5e11, 1e9, 0.1)))

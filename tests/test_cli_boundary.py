@@ -28,6 +28,33 @@ def test_link_curve_rejects_bad_distance_range(tmp_path, capsys, extra, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--power", "nan"], "--power"),
+        (["--power", "1e4"], "--power"),
+        (["--f", "nan"], "--f"),
+        (["--kabs", "-1"], "--kabs"),
+        (["--bandwidth", "0"], "--bandwidth"),
+        (["--gain-dbi", "1e4"], "--gain-dbi"),
+        (["--noise-dbm-per-hz", "1e4"], "--noise-dbm-per-hz"),
+    ],
+)
+def test_link_curve_rejects_bad_link_flags(tmp_path, capsys, extra, flag):
+    out = tmp_path / "curve.csv"
+    assert main(LINK_CURVE + extra + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not out.exists()
+
+
+def test_validate_exits_2_on_infinite_noise_density(tmp_path, capsys):
+    spec = tmp_path / "scenario.json"
+    doc = json.dumps(_doc_with_table("bundled"))
+    spec.write_text(doc.replace('"noise_psd_dbm_per_hz": -168.0', '"n0_w_per_hz": 1e400'))
+    assert main(["validate", "--spec", str(spec)]) == 2
+    assert "LinkParams.n0" in capsys.readouterr().err
+
+
 def test_link_curve_default_range_still_writes(tmp_path):
     out = tmp_path / "curve.csv"
     assert main(LINK_CURVE + ["--points", "5", "--out", str(out)]) == 0

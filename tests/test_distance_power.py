@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tera_tc.channel import LinkParams
+from tera_tc.channel import LinkParams, bundled_absorption_table, log_inverse_gain
 from tera_tc.distance_power import (
     ConvergenceError,
     InfeasibleError,
@@ -19,6 +21,7 @@ from tera_tc.distance_power import (
     stationarity_lhs,
     thm1_distance_update,
 )
+from tera_tc.scenario import uniform_band
 from conftest import make_params
 
 LN2 = math.log(2.0)
@@ -266,6 +269,15 @@ class TestIteratePowerDistance:
             )
         assert 0 in err.value.devices
 
+    def test_floor_unreachable_at_d_min(self):
+        # At -20 dBm a 40 Gbps floor is met only ~1e-6 m from the transmitter.
+        params = make_params(p_total_dbm=-20.0)
+        with pytest.raises(InfeasibleError, match="d_min") as err:
+            iterate_power_distance(
+                np.array([5e11]), np.array([0.2]), np.array([40e9]), 1e9, params
+            )
+        assert err.value.devices == (0,)
+
     def test_negative_rate_req_rejected(self, params):
         with pytest.raises(ValueError):
             iterate_power_distance(
@@ -327,3 +339,41 @@ class TestSolverConfigRanges:
     def test_rejected(self, fields):
         with pytest.raises(ValueError):
             SolverConfig(**fields)
+
+
+BAND_20 = uniform_band(500e9, 600e9, 20, bundled_absorption_table())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, BAND_20.n - 1), st.floats(0.0, 6.0)),  # subwindow, bps/Hz
+        min_size=1,
+        max_size=BAND_20.n,
+        unique_by=lambda dev: dev[0],
+    ),
+    st.floats(0.0, 40.0),
+)
+def test_rate_floor_repair_properties(devices, p_dbm):
+    """After the repair every floor holds, pinned rates sit on their floors,
+    the budget holds (exactly once a device is pinned) and no distance is
+    below d_min; or InfeasibleError names a device."""
+    idx, floors = (np.array(c) for c in zip(*devices))
+    f, k, w = BAND_20.frequencies[idx], BAND_20.k_abs[idx], BAND_20.bandwidth
+    req = floors * w
+    params = make_params(p_dbm)
+    config = SolverConfig()
+    try:
+        state = iterate_power_distance(f, k, req, w, params, config)
+    except InfeasibleError as exc:
+        assert len(exc.devices) >= 1
+        return
+    pinned = np.array([r is Regime.DISTANCE_MAXIMIZED for r in state.regimes])
+    assert np.all(state.rates >= req * (1.0 - 1e-12))
+    assert np.array_equal(state.rates[pinned], req[pinned])
+    assert state.powers.sum() <= params.p_total * (1.0 + 1e-12)
+    if pinned.any():
+        assert state.powers.sum() == pytest.approx(params.p_total, rel=1e-12)
+    assert np.all(state.distances >= config.d_min)
+    snr = np.exp(np.log(state.powers) - log_inverse_gain(f, k, state.distances, w, params))
+    assert np.allclose(w * np.log1p(snr) / LN2, state.rates, rtol=1e-9, atol=0.0)

@@ -1,6 +1,7 @@
 """Scenario file parsing, canonical round trips, and validation errors."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -181,3 +182,48 @@ def test_link_params_domain_error_names_link_params():
     doc["link_params"]["p_total_w"] = -1.0
     with pytest.raises(ScenarioError, match="^link_params: "):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"p_total_dbm": 1e4}, "p_total"),
+        ({"p_total_w": math.inf}, "p_total"),
+        ({"gain_tx_dbi": 1e4}, "gt_linear"),
+        ({"gain_rx_dbi": 1e4}, "gr_linear"),
+        ({"gt_linear": math.inf, "gr_linear": 1.0}, "gt_linear"),
+        ({"gt_linear": 1.0, "gr_linear": math.inf}, "gr_linear"),
+        ({"noise_psd_dbm_per_hz": 1e4}, "n0"),
+        ({"n0_w_per_hz": 1e400}, "n0"),
+        ({"c_m_per_s": math.inf}, "c"),
+    ],
+)
+def test_infinite_link_params_rejected(fields, name):
+    doc = minimal_doc()
+    doc["link_params"].update(fields)
+    with pytest.raises(ScenarioError, match=f"^link_params: LinkParams.{name} must be finite"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "key, value, name",
+    [
+        ("d_min_m", math.nan, "d_min"),
+        ("d_min_m", 0.0, "d_min"),
+        ("d_min_m", -1.0, "d_min"),
+        ("d_min_m", math.inf, "d_min"),
+        ("eps", math.nan, "eps"),
+        ("eps", -1.0, "eps"),
+        ("eps", math.inf, "eps"),
+    ],
+)
+def test_solver_d_min_and_eps_ranges(key, value, name):
+    with pytest.raises(ScenarioError, match=f"^solver: {name} must be finite"):
+        scenario_from_dict(minimal_doc(solver={key: value}))
+
+
+def test_device_count_bounded_before_expansion():
+    with pytest.raises(ScenarioError, match=r"^devices\[0\]\.count: 11 devices exceed 10"):
+        scenario_from_dict(minimal_doc(devices=[{"count": 11}]))
+    with pytest.raises(ScenarioError, match=r"^devices\[1\]\.count: 11 devices exceed 10"):
+        scenario_from_dict(minimal_doc(devices=[{"count": 6}, {"count": 5}]))
