@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -75,19 +76,28 @@ class Subwindow:
                 raise DomainError(f"subwindow {name} must be finite", name)
 
 
+def _read_only(values) -> np.ndarray:
+    out = np.array(values)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class BandPlan:
     """Ordered subwindows with strictly increasing center frequencies and a
-    common bandwidth; each `Subwindow` has already rejected non-finite values."""
+    common bandwidth; each `Subwindow` has already rejected non-finite values.
+
+    `frequencies` and `k_abs` are built once and returned read-only.
+    """
 
     subwindows: tuple[Subwindow, ...]
 
     def __post_init__(self):
         if not self.subwindows:
             raise DomainError("BandPlan needs at least one subwindow")
-        f = np.array([s.frequency for s in self.subwindows])
+        f = self.frequencies
         w = np.array([s.bandwidth for s in self.subwindows])
-        k = np.array([s.k_abs for s in self.subwindows])
+        k = self.k_abs
         if np.any(f <= 0) or np.any(np.diff(f) <= 0):
             raise DomainError("subwindow frequencies must be positive and strictly increasing", "frequency")
         if np.any(w <= 0) or not np.allclose(w, w[0], rtol=1e-12, atol=0.0):
@@ -99,13 +109,18 @@ class BandPlan:
     def n(self) -> int:
         return len(self.subwindows)
 
-    @property
+    @cached_property
     def frequencies(self) -> np.ndarray:
-        return np.array([s.frequency for s in self.subwindows])
+        return _read_only([s.frequency for s in self.subwindows])
 
-    @property
+    @cached_property
     def k_abs(self) -> np.ndarray:
-        return np.array([s.k_abs for s in self.subwindows])
+        return _read_only([s.k_abs for s in self.subwindows])
+
+    def __getstate__(self):
+        # Unpickled arrays are writeable, so the cached ones stay behind
+        # and are rebuilt on first use.
+        return {"subwindows": self.subwindows}
 
     @property
     def bandwidth(self) -> float:
@@ -200,7 +215,12 @@ def log_inverse_gain(frequency, k_abs, distance, bandwidth, params: LinkParams):
 
 def inverse_gain(frequency, k_abs, distance, bandwidth, params: LinkParams):
     """Effective inverse gain sigma^2 / |h|^2 in W; +inf where it overflows."""
-    log_g = log_inverse_gain(frequency, k_abs, distance, bandwidth, params)
+    return exp_inverse_gain(log_inverse_gain(frequency, k_abs, distance, bandwidth, params))
+
+
+def exp_inverse_gain(log_g):
+    """The inverse gain in W from `log_inverse_gain`'s value; +inf where
+    that value exceeds `_LOG_HUGE`."""
     return np.where(log_g > _LOG_HUGE, np.inf, np.exp(np.minimum(log_g, _LOG_HUGE)))
 
 

@@ -57,6 +57,8 @@ def _cmd_link_curve(args) -> int:
         raise ScenarioError(f"--d-min must be finite and > 0, got {args.d_min:g}")
     if not args.d_min < args.d_max < math.inf:
         raise ScenarioError(f"--d-max must be finite and > --d-min, got {args.d_max:g}")
+    if args.points < 2:
+        raise ScenarioError(f"--points: need at least 2 grid points, got {args.points}")
     try:
         (sub,) = BandPlan((Subwindow(args.f, args.bandwidth, args.kabs),)).subwindows
         params = LinkParams(

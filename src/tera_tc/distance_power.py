@@ -44,7 +44,7 @@ class InfeasibleError(RuntimeError):
 
     def __init__(self, message: str, devices=()):
         super().__init__(message)
-        self.devices = tuple(devices)
+        self.devices = tuple(int(i) for i in devices)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Every runner returns plain row dictionaries so results can be written as
 CSV (`write_results`) or inspected in memory. Sweep points and trials are
-independent jobs; with `workers > 1` they run in a process pool and are
-merged back in deterministic (sweep, trial) order, so output files are
-byte-identical regardless of parallelism.
+independent jobs; with `workers > 1` they run in a process pool, in
+`_CHUNKS_PER_WORKER` chunks per worker, and are merged back in
+deterministic (sweep, trial) order, so output files are byte-identical
+regardless of parallelism.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -89,15 +92,22 @@ def _run_strategy_job(job):
     )
 
 
+#: Pool chunks per worker in `_map_jobs` (1200 CDF jobs on 2 workers: chunks
+#: of 38). A chunk costs one queue round trip, under a millisecond; a worker
+#: idles at the end of the map for at most about one chunk's run time.
+_CHUNKS_PER_WORKER = 16
+
+
 def _map_jobs(fn, jobs, workers: int):
     """fn over jobs in order, in a process pool when workers > 1.
 
-    Jobs go to the workers in about four chunks per worker, so a
-    `Scenario` shared by many jobs is pickled once per chunk rather than
-    once per job.
+    Jobs go to the workers in about `_CHUNKS_PER_WORKER` chunks per worker.
+    A `Scenario` shared by many jobs is pickled once per chunk rather than
+    once per job, and the chunks are small enough that the slow jobs at
+    the end of a list (the widest CDF radius) spread over every worker.
     """
     if workers > 1:
-        chunksize = max(1, math.ceil(len(jobs) / (4 * workers)))
+        chunksize = max(1, math.ceil(len(jobs) / (_CHUNKS_PER_WORKER * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs, chunksize=chunksize))
     return [fn(job) for job in jobs]
@@ -153,14 +163,15 @@ def _cdf_job(job):
         rng, scenario.n_devices, radius, scenario.config.d_min
     )
     devices = tuple(
-        replace(dev, fixed_distance=float(di)) for dev, di in zip(scenario.devices, d)
+        DeviceSpec(dev.rate_req, di) for dev, di in zip(scenario.devices, d.tolist())
     )
     sc = replace(scenario, devices=devices)
     try:
         alloc = STRATEGIES[strategy](sc)
     except Exception as exc:
         return _summary_row(experiment, strategy, radius, trial, None, f"{type(exc).__name__}: {exc}"), []
-    return _summary_row(experiment, strategy, radius, trial, alloc), list(alloc.rates)
+    # Python floats pickle back from a pool worker far faster than numpy scalars.
+    return _summary_row(experiment, strategy, radius, trial, alloc), alloc.rates.tolist()
 
 
 def run_cdf_fixed_distance(scenario: Scenario, spec: ExperimentSpec, workers: int = 1):
@@ -186,18 +197,17 @@ def run_cdf_fixed_distance(scenario: Scenario, spec: ExperimentSpec, workers: in
         pooled.setdefault((job[2], job[1]), []).extend(rates)
     cdf_rows = []
     for (radius, strategy), rates in sorted(pooled.items()):
-        rates = np.sort(np.asarray(rates))
         m = len(rates)
-        for i, r in enumerate(rates):
-            cdf_rows.append(
-                {
-                    "experiment": spec.kind,
-                    "strategy": strategy,
-                    "radius_m": radius,
-                    "rate_bps": float(r),
-                    "cdf": (i + 1) / m,
-                }
-            )
+        cdf_rows += [
+            {
+                "experiment": spec.kind,
+                "strategy": strategy,
+                "radius_m": radius,
+                "rate_bps": r,
+                "cdf": c,
+            }
+            for r, c in zip(np.sort(rates).tolist(), (np.arange(1, m + 1) / m).tolist())
+        ]
     return summary, cdf_rows
 
 
@@ -318,17 +328,39 @@ DETAIL_FILENAMES = {
 
 
 def write_results(rows, path) -> None:
-    """Write row dictionaries as CSV with a stable column order."""
+    """Write row dictionaries as CSV, columns in the first row's key order.
+
+    Every row must have exactly the first row's keys (`ValueError` names
+    the first that does not). An empty `rows` writes an empty file.
+    """
     rows = list(rows)
-    if not rows:
-        with open(path, "w", newline="") as fh:
-            fh.write("")
-        return
-    fieldnames = list(rows[0].keys())
+    fieldnames = list(rows[0]) if rows else []
+    values = _row_values(rows, fieldnames)
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        if rows:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(fieldnames)
+            writer.writerows(values)
+
+
+def _row_values(rows, fieldnames):
+    """Each row's values in `fieldnames` order, as an iterator, so that a
+    large file's values are never held next to its rows.
+
+    Every row is checked before any byte is written: equal key counts and
+    no missing key mean equal key sets.
+    """
+    if not rows:
+        return iter(())
+    get = operator.itemgetter(*fieldnames)
+    try:
+        if set(map(len, rows)) == {len(fieldnames)}:
+            deque(map(get, rows), maxlen=0)  # KeyError on a missing key
+            return map(get, rows) if len(fieldnames) > 1 else ([get(row)] for row in rows)
+    except KeyError:
+        pass
+    i = next(i for i, row in enumerate(rows) if row.keys() != rows[0].keys())
+    raise ValueError(f"row {i} has keys {list(rows[i])}, the header {fieldnames}")
 
 
 def run_experiment(scenario: Scenario, spec: ExperimentSpec, out_dir, workers: int = 1) -> dict:

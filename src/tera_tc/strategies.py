@@ -22,7 +22,7 @@ from .assignment import (
     exhaustive_assign,
     hungarian_assign,
 )
-from .channel import BandPlan, LinkParams, inverse_gain, log_inverse_gain
+from .channel import BandPlan, LinkParams, exp_inverse_gain, log_inverse_gain
 from .distance_power import (
     ConvergenceError,
     InfeasibleError,
@@ -137,45 +137,45 @@ def audit_allocation(
 
 def _rate_matrix(scenario: Scenario, distances, powers) -> np.ndarray:
     """Per-(device, subwindow) rates (bps) at the given distances/powers."""
+    return _rates_at(scenario, _log_gain_matrix(scenario, distances), powers)
+
+
+def _log_gain_matrix(scenario: Scenario, distances) -> np.ndarray:
+    """K x N `log_inverse_gain` of every device on every subwindow."""
     band = scenario.band
     d = np.asarray(distances, dtype=float)[:, None]
-    p = np.asarray(powers, dtype=float)[:, None]
-    log_ginv = log_inverse_gain(
+    return log_inverse_gain(
         band.frequencies[None, :], band.k_abs[None, :], d, band.bandwidth, scenario.params
     )
+
+
+def _rates_at(scenario: Scenario, log_ginv: np.ndarray, powers) -> np.ndarray:
+    """Rates (bps) at per-device powers from a K x N log inverse gain."""
+    p = np.asarray(powers, dtype=float)[:, None]
     with np.errstate(over="ignore"):
         snr = np.where(p > 0, np.exp(np.log(np.maximum(p, 1e-300)) - log_ginv), 0.0)
-    return band.bandwidth * np.log1p(snr) / _LN2
-
-
-def _assigned_rates(scenario: Scenario, n_of_k, distances, powers) -> np.ndarray:
-    band = scenario.band
-    f = band.frequencies[n_of_k]
-    k = band.k_abs[n_of_k]
-    ginv = inverse_gain(f, k, distances, band.bandwidth, scenario.params)
-    snr = np.where(np.isfinite(ginv), np.asarray(powers) / ginv, 0.0)
-    return band.bandwidth * np.log1p(snr) / _LN2
+    return scenario.band.bandwidth * np.log1p(snr) / _LN2
 
 
 def _fixed_distance_pipeline(scenario: Scenario, weighted: bool, name: str) -> Allocation:
+    """Both fixed-distance strategies from one K x N link budget: the
+    equal-power payoff, the assigned inverse gains and the final rates."""
     d = scenario.fixed_distances
     n_dev = scenario.n_devices
-    p_eq = np.full(n_dev, scenario.params.p_total / n_dev)
-    rates = _rate_matrix(scenario, d, p_eq)
+    log_ginv = _log_gain_matrix(scenario, d)
+    rates = _rates_at(scenario, log_ginv, np.full(n_dev, scenario.params.p_total / n_dev))
     payoff = d[:, None] * rates if weighted else rates
     n_of_k = hungarian_assign(payoff)
-    band = scenario.band
-    ginv = inverse_gain(
-        band.frequencies[n_of_k], band.k_abs[n_of_k], d, band.bandwidth, scenario.params
-    )
+    ginv = exp_inverse_gain(log_ginv[np.arange(n_dev), n_of_k])
     weights = d if weighted else np.ones(n_dev)
     p = waterfill(weights, ginv, scenario.params.p_total)
+    snr = np.where(np.isfinite(ginv), p / ginv, 0.0)
     alloc = Allocation(
         strategy=name,
         subwindows=n_of_k,
         powers=p,
         distances=d.copy(),
-        rates=_assigned_rates(scenario, n_of_k, d, p),
+        rates=scenario.band.bandwidth * np.log1p(snr) / _LN2,
         regimes=["fixed"] * n_dev,
     )
     audit_allocation(alloc, scenario, check_rate_floors=False)

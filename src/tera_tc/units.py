@@ -8,8 +8,10 @@ import numpy as np
 
 
 def db_to_linear(x_db):
-    """dB (or dBi) -> dimensionless linear ratio."""
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+    """dB (or dBi) -> dimensionless linear ratio; +inf past the float range,
+    for the caller's finiteness check to report."""
+    with np.errstate(over="ignore"):
+        return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
 def linear_to_db(x):
@@ -18,8 +20,10 @@ def linear_to_db(x):
 
 
 def dbm_to_watts(p_dbm):
-    """dBm -> W. Also handles dBm/Hz -> W/Hz for spectral densities."""
-    return 10.0 ** ((np.asarray(p_dbm, dtype=float) - 30.0) / 10.0)
+    """dBm -> W. Also handles dBm/Hz -> W/Hz for spectral densities; +inf
+    past the float range, like `db_to_linear`."""
+    with np.errstate(over="ignore"):
+        return 10.0 ** ((np.asarray(p_dbm, dtype=float) - 30.0) / 10.0)
 
 
 def watts_to_dbm(p_w):

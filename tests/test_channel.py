@@ -1,6 +1,7 @@
 """Link-budget primitives: losses, SNR, rate, and the absorption table."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -225,6 +226,18 @@ class TestValidation:
         assert band.n == 2
         assert band.bandwidth == 1e9
         assert np.array_equal(band.k_abs, [0.1, 0.2])
+
+    @pytest.mark.parametrize("name", ["frequencies", "k_abs"])
+    def test_band_plan_arrays_built_once_and_read_only(self, name):
+        band = BandPlan((Subwindow(5e11, 1e9, 0.1), Subwindow(5.01e11, 1e9, 0.2)))
+        first = getattr(band, name)
+        assert getattr(band, name) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        copy = pickle.loads(pickle.dumps(band))
+        assert copy == band
+        assert not getattr(copy, name).flags.writeable
 
 
 class TestAbsorptionTable:

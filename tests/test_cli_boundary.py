@@ -1,6 +1,7 @@
 """The CLI and scenario loader turn bad inputs into exit code 2 with a message."""
 
 import json
+import warnings
 
 import pytest
 
@@ -45,6 +46,27 @@ def test_link_curve_rejects_bad_link_flags(tmp_path, capsys, extra, flag):
     assert main(LINK_CURVE + extra + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("points", ["-1", "0", "1"])
+def test_link_curve_rejects_too_few_points(tmp_path, capsys, points):
+    out = tmp_path / "curve.csv"
+    assert main(LINK_CURVE + ["--points", points, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --points: ")
+    assert not out.exists()
+
+
+def test_huge_db_inputs_fail_without_a_numpy_warning(tmp_path, capsys):
+    spec = tmp_path / "scenario.json"
+    doc = json.dumps(_doc_with_table("bundled"))
+    spec.write_text(doc.replace('"p_total_dbm": 30.0', '"p_total_dbm": 1e4'))
+    out = tmp_path / "curve.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(LINK_CURVE[:-1] + ["1e4", "--out", str(out)]) == 2
+        assert main(["validate", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert "error: --power: " in err and "p_total" in err.split("\n")[1]
 
 
 def test_validate_exits_2_on_infinite_noise_density(tmp_path, capsys):

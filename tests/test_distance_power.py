@@ -278,6 +278,15 @@ class TestIteratePowerDistance:
             )
         assert err.value.devices == (0,)
 
+    def test_infeasible_devices_are_plain_ints(self):
+        params = make_params(p_total_dbm=-20.0)
+        with pytest.raises(InfeasibleError, match="d_min") as err:
+            iterate_power_distance(
+                np.array([5e11]), np.array([0.2]), np.array([40e9]), 1e9, params
+            )
+        assert type(err.value.devices[0]) is int
+        assert repr(err.value.devices) == "(0,)"
+
     def test_negative_rate_req_rejected(self, params):
         with pytest.raises(ValueError):
             iterate_power_distance(

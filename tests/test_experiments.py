@@ -1,6 +1,8 @@
 """Experiment runners, CSV/JSON emission, and the CLI driver."""
 
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -207,6 +209,54 @@ class TestWriteAndRun:
         path = tmp_path / "out.csv"
         write_results(rows, path)
         assert path.read_text() == "a,b\n1,x\n2,y\n"
+
+    @staticmethod
+    def dict_writer_text(rows):
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        return buf.getvalue()
+
+    def test_write_results_matches_dict_writer(self, tmp_path):
+        sc = small_scenario(reqs=[1.0, 2.0, 1.0, 3.0])
+        spec = ExperimentSpec(kind="tc_vs_power", grid=(20.0, 30.0), strategies=("proposed",))
+        summary, devices = run_tc_vs_power(sc, spec)
+        summary.append(dict(summary[0], tc_m_bps="", error='InfeasibleError: floors "x", y'))
+        cdf_spec = ExperimentSpec(kind="cdf_fixed_distance", grid=(5.0,), trials=2)
+        _, cdf = run_cdf_fixed_distance(small_scenario(fixed=[1.0] * 4), cdf_spec)
+        for rows in (summary, devices, cdf):
+            path = tmp_path / "out.csv"
+            write_results(rows, path)
+            with open(path, newline="") as fh:
+                assert fh.read() == self.dict_writer_text(rows)
+        assert '"InfeasibleError: floors ""x"", y"' in self.dict_writer_text(summary)
+
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_write_results_rejects_rows_with_other_keys(self, tmp_path, change):
+        rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}, {"a": 3, "b": "z"}]
+        if change == "extra":
+            rows[2]["c"] = 0
+        else:
+            del rows[2]["b"]
+        with pytest.raises(ValueError, match="^row 2 "):
+            write_results(rows, tmp_path / "out.csv")
+
+    def test_write_results_single_column(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_results([{"a": "x,y"}, {"a": 2}], path)
+        assert path.read_text() == 'a\n"x,y"\n2\n'
+
+    def test_cdf_files_identical_serial_and_pooled(self, tmp_path):
+        sc = small_scenario(n=6, fixed=[1.0] * 6)
+        spec = ExperimentSpec(
+            kind="cdf_fixed_distance", grid=(5.0, 40.0), trials=5, seed=3
+        )
+        serial = run_experiment(sc, spec, tmp_path / "serial", workers=1)
+        pooled = run_experiment(sc, spec, tmp_path / "pooled", workers=2)
+        for name in ("summary.csv", "cdf.csv"):
+            with open(serial[name], "rb") as a, open(pooled[name], "rb") as b:
+                assert a.read() == b.read()
 
     def test_run_experiment_writes_files(self, tmp_path):
         sc = small_scenario()

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from tera_tc.assignment import EnumerationCapError
-from tera_tc.channel import BandPlan, Subwindow, bundled_absorption_table, inverse_gain
+from tera_tc.channel import (
+    BandPlan,
+    Link,
+    Subwindow,
+    bundled_absorption_table,
+    inverse_gain,
+    rate,
+)
 from tera_tc.distance_power import InfeasibleError, SolverConfig, iterate_power_distance
 from tera_tc.scenario import default_scenario, uniform_band
 from tera_tc.strategies import (
@@ -75,6 +82,31 @@ class TestFixedDistance:
         alloc = fixed_distance_tc_max(sc)
         assert alloc.subwindows[1] == 0  # far device takes the clean subwindow
         assert alloc.subwindows[0] == 1
+
+    @pytest.mark.parametrize("strategy", [fixed_distance_tc_max, sum_rate_max])
+    def test_rates_match_the_link_budget(self, strategy):
+        # 550-560 GHz straddles the 555 GHz absorption peak (k up to 0.73/m);
+        # at 2000 m the exponent k d is past the overflow guard of 700.
+        band = uniform_band(550e9, 560e9, 6, bundled_absorption_table())
+        sc = Scenario(
+            band=band,
+            params=make_params(30.0),
+            devices=tuple(
+                DeviceSpec(fixed_distance=d) for d in (1.0, 2.0, 3.0, 4.0, 6.0, 2000.0)
+            ),
+        )
+        alloc = strategy(sc)
+        n = alloc.subwindows
+        f, k = band.frequencies[n], band.k_abs[n]
+        want = [
+            rate(Link(f[i], k[i], alloc.distances[i], alloc.powers[i], band.bandwidth), sc.params)
+            for i in range(sc.n_devices)
+        ]
+        np.testing.assert_allclose(alloc.rates, want, rtol=1e-12, atol=0.0)
+        assert k[-1] > 0.7 and k[-1] * alloc.distances[-1] > 700.0
+        assert alloc.rates[-1] == 0.0
+        in_peak = (k > 0.7) & (alloc.powers > 0)
+        assert np.any(in_peak) and np.all(alloc.rates[in_peak] > 0)
 
     def test_requires_fixed_distances(self):
         sc = Scenario(
