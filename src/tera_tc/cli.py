@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -22,6 +23,9 @@ from .units import db_to_linear, dbm_to_watts
 
 
 def _cmd_run(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.parallel <= cpus:
+        raise ScenarioError(f"--parallel: must be between 1 and {cpus}, got {args.parallel}")
     scenario, spec = load_scenario(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)

@@ -13,8 +13,8 @@ through `channel.log_inverse_gain`.
 
 `optimal_distance_pair`, `max_distance` and `classify_regime` take a scalar
 or an array per device argument: scalars give floats, arrays solve every
-device at once (one safeguarded array Newton iteration for the optimal
-distance) and give arrays.
+device at once and give arrays. The optimal distance is one monotone
+array Newton descent from its closed-form root without absorption.
 
 All per-device arithmetic is done in log space where absorption exponents
 could overflow; devices parked deep inside an absorption peak simply end up
@@ -131,25 +131,33 @@ def _device_arrays(*values):
     return scalar, np.broadcast_arrays(*arrays)
 
 
-def optimal_distance_pair(
-    power,
-    frequency,
-    k_abs,
-    bandwidth: float,
-    params: LinkParams,
-    residual_tol: float = 1e-6,
-):
+def _newton_descent(fun, t0, what: str) -> np.ndarray:
+    """Array Newton t <- t - g/g' from t0, with (g, g') = fun(t), until every
+    |step| <= 1e-13 max(1, |t|); ConvergenceError naming `what` after 200
+    steps. No bracket: callers pass a monotone, convex or concave g and a t0
+    on the side from which Newton descends onto every root."""
+    t = np.array(t0, dtype=float)
+    for _ in range(200):
+        g, slope = fun(t)
+        step = g / slope
+        t -= step
+        if np.all(np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(t))):
+            return t
+    raise ConvergenceError(f"{what} Newton iteration did not converge")
+
+
+def optimal_distance_pair(power, frequency, k_abs, bandwidth: float, params: LinkParams):
     """Distance and SNR jointly satisfying the stationarity condition and
     the SNR definition at the given power (the unconstrained per-device
     transport-capacity optimum).
 
-    The gap ln SNR(d) - ln xi_stat(k d) is strictly decreasing in t = ln d.
-    Each element starts from the bracket [1e-8, 1e3] m, whose upper end
-    grows tenfold while the gap is still positive (ConvergenceError past
-    1e12 m), and is solved by Newton's method in t, with
-    d ln xi_stat/dx = xi/(xi - ln(1+xi)), falling back to bisection when a
-    step leaves the bracket. Scalars give a (d, xi) pair of floats, arrays
-    a pair of arrays.
+    In t = ln d the gap g = ln SNR(d) - ln xi_stat(k d) is decreasing and
+    concave: with x = k d and h = ln xi_stat (h' = xi/(xi - ln(1+xi))),
+    g' = -(2 + x + x h'), g'' = -x (1 + h' + x h'') and
+    1 + h' + x h'' >= 1.93 for all x >= 0. Absorption only lowers g, so the
+    closed-form root t0 without absorption has g(t0) <= 0 and
+    `_newton_descent` from t0 descends onto every root. Scalars give a
+    (d, xi) pair of floats, arrays a pair of arrays.
     """
     scalar, (p, f, k) = _device_arrays(power, frequency, k_abs)
     if not np.all(p > 0):
@@ -157,44 +165,18 @@ def optimal_distance_pair(
     log_p = np.log(p)
 
     def gap(t):
-        """The gap at t, with x = k d and xi_stat(x) for its slope."""
         d = np.exp(t)
         x = k * d
-        xi_stat = solve_stationarity_snr(x)
-        return _log_snr(log_p, f, k, d, bandwidth, params) - np.log(xi_stat), x, xi_stat
+        xi = solve_stationarity_snr(x)
+        g = _log_snr(log_p, f, k, d, bandwidth, params) - np.log(xi)
+        return g, -(2.0 + x) - x / (1.0 - np.log1p(xi) / xi)  # no x * xi overflow
 
-    lo = np.full(p.shape, math.log(1e-8))
-    hi = np.full(p.shape, math.log(1e3))
-    while (short := gap(hi)[0] > 0).any():
-        hi[short] += math.log(10.0)
-        if np.any(hi > math.log(1e12)):
-            raise ConvergenceError("optimal distance bracket expansion failed")
-    if not np.all(gap(lo)[0] > 0):
-        raise ValueError("optimal distance lies below 1e-8 m")
-    # Without absorption xi_stat is the constant root at k d = 0; absorption
-    # only lowers the gap, so that root is an upper bound on every t.
     xi_0 = solve_stationarity_snr(0.0)
     t0 = 0.5 * (log_p - math.log(xi_0) - log_inverse_gain(f, 0.0, 1.0, bandwidth, params))
-    t = np.minimum(t0, hi)
-    active = np.ones(p.shape, dtype=bool)
-    for _ in range(200):
-        g, x, xi = gap(t)
-        lo = np.where(g > 0, t, lo)
-        hi = np.where(g > 0, hi, t)
-        slope = -(2.0 + x) - x * xi / (xi - np.log1p(xi))
-        t_new = t - g / slope
-        t_new = np.where((t_new >= lo) & (t_new <= hi), t_new, 0.5 * (lo + hi))
-        done = np.abs(t_new - t) <= 1e-13 * np.maximum(1.0, np.abs(t))
-        t = np.where(active, t_new, t)
-        active &= ~done
-        if not active.any():
-            break
-    else:
-        raise ConvergenceError("optimal distance Newton iteration did not converge")
-    d = np.exp(t)
+    d = np.exp(_newton_descent(gap, t0, "optimal distance"))
     xi = np.exp(_log_snr(log_p, f, k, d, bandwidth, params))
     residual = np.abs(stationarity_lhs(xi) - (2.0 + k * d)).max()
-    if residual > residual_tol:
+    if not residual <= 1e-6:  # NaN fails too
         raise ConvergenceError(f"stationarity residual {residual:.3e} above tolerance")
     return (float(d[0]), float(xi[0])) if scalar else (d, xi)
 
@@ -305,14 +287,17 @@ def thm1_distance_update(
     xi = np.asarray(xi, dtype=float)
     f = np.asarray(frequencies, dtype=float)
     k = np.asarray(k_abs, dtype=float)
-    log_xi = np.log(xi)
-    log_c = _log_power_coeff(log_xi, f, k, d, bandwidth, params)
+    log_c = _log_power_coeff(np.log(xi), f, k, d, bandwidth, params)
+    return _dual_step(log_c, xi, params.p_total, nu)
+
+
+def _dual_step(log_c, xi, p_total: float, nu: float | None = None):
+    """`thm1_distance_update` from ln(c_k): (d_hat, nu)."""
     log_num = np.log(np.log1p(xi) / _LN2) - math.log(2.0)  # ln(log2(1+xi)/2)
     if nu is None:
         # sum_k c_k (log2(1+xi_k)/(2 nu c_k))^2 = P_T  =>  nu^2 = sum/(P_T)
-        nu = math.sqrt(np.exp(2.0 * log_num - log_c).sum() / params.p_total)
-    d_hat = np.exp(log_num - log_c - math.log(nu))
-    return d_hat, nu
+        nu = math.sqrt(np.exp(2.0 * log_num - log_c).sum() / p_total)
+    return np.exp(log_num - log_c - math.log(nu)), nu
 
 
 @dataclass
@@ -397,9 +382,9 @@ def iterate_power_distance(
     for it in range(1, config.max_inner + 1):
         pinned, xi_tilde = _pin_masks(d, k, req, bandwidth)
         xi = np.where(pinned, np.exp(log_xi_req), xi_tilde)
-        d_hat, _nu = thm1_distance_update(d, xi, f, k, bandwidth, params)
-        d_new = alpha * d + (1.0 - alpha) * d_hat
         log_c = _log_power_coeff(np.log(xi), f, k, d, bandwidth, params)
+        d_hat, _nu = _dual_step(log_c, xi, params.p_total)
+        d_new = alpha * d + (1.0 - alpha) * d_hat
         log_p = log_c + 2.0 * np.log(d_new)
         # Smoothing can transiently overshoot the budget the dual enforced
         # for d_hat; scale the reported powers back onto it. The distance

@@ -9,12 +9,12 @@ emits the canonical linear form, so a save/load round trip is bit-exact.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .channel import AbsorptionTable, BandPlan, DomainError, LinkParams, Subwindow, bundled_absorption_table
+from .channel import AbsorptionTable, BandPlan, LinkParams, Subwindow, bundled_absorption_table
 from .distance_power import SolverConfig
 from .strategies import STRATEGIES, DeviceSpec, Scenario
 from .units import db_to_linear, dbm_to_watts
@@ -54,8 +54,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ScenarioError(f"experiment.kind: unknown kind {self.kind!r}")
-        if not self.grid or list(self.grid) != sorted(self.grid):
-            raise ScenarioError("experiment.grid: must be non-empty and sorted")
+        grid = list(self.grid)
+        if not grid or not np.all(np.isfinite(grid)) or grid != sorted(grid):
+            raise ScenarioError("experiment.grid: must be non-empty, finite and sorted")
         if self.trials < 1:
             raise ScenarioError("experiment.trials: must be >= 1")
         for s in self.strategies:
@@ -68,6 +69,8 @@ def uniform_band(
 ) -> BandPlan:
     """N equal subwindows spanning [f_start, f_stop] with center-frequency
     absorption coefficients sampled from the table."""
+    if n_subwindows < 1:
+        raise ValueError(f"n_subwindows must be >= 1, got {n_subwindows}")
     edges = np.linspace(f_start, f_stop, n_subwindows + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     w = (f_stop - f_start) / n_subwindows
@@ -75,6 +78,13 @@ def uniform_band(
 
 
 _MISSING = object()
+
+
+def _int(value, key: str) -> int:
+    """`value` as an int; ValueError naming `key` unless it is a whole number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _get(section: dict, context: str, key: str, default=_MISSING):
@@ -105,7 +115,7 @@ def _parse_band(section: dict) -> BandPlan:
     return uniform_band(
         float(_get(section, "band", "f_start_hz")),
         float(_get(section, "band", "f_stop_hz")),
-        int(_get(section, "band", "n_subwindows")),
+        _int(_get(section, "band", "n_subwindows"), "n_subwindows"),
         table,
     )
 
@@ -132,12 +142,12 @@ def _parse_link_params(section: dict) -> LinkParams:
 def _parse_devices(entries, bandwidth: float, n_subwindows: int) -> tuple[DeviceSpec, ...]:
     """The device list, expanded by each entry's `count`; the running total
     is checked against the subwindows before any entry is expanded."""
-    if not entries:
-        raise ScenarioError("devices: list must be non-empty")
+    if not entries or not isinstance(entries, list):
+        raise ScenarioError("devices: must be a non-empty list")
     devices = []
     for i, row in enumerate(entries):
         ctx = f"devices[{i}]"
-        count = int(row.get("count", 1))
+        count = _int(row.get("count", 1), "count")
         if count < 1:
             raise ScenarioError(f"{ctx}.count: must be >= 1")
         if len(devices) + count > n_subwindows:
@@ -163,50 +173,52 @@ def _parse_solver(section: dict) -> SolverConfig:
     """Unknown keys are ignored, so older files that still carry the retired
     `seed` and `bisect_rel_tol` keys load unchanged."""
     defaults = SolverConfig()
-    try:
-        return SolverConfig(
-            alpha=float(section.get("alpha", defaults.alpha)),
-            eps=float(section.get("eps", defaults.eps)),
-            eps_relative=bool(section.get("eps_relative", defaults.eps_relative)),
-            m_out=int(section.get("m_out", defaults.m_out)),
-            d_init=float(section.get("d_init_m", defaults.d_init)),
-            max_inner=int(section.get("max_inner", defaults.max_inner)),
-            d_min=float(section.get("d_min_m", defaults.d_min)),
-            enum_cap=int(section.get("enum_cap", defaults.enum_cap)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"solver: {exc}") from exc
+    eps_relative = section.get("eps_relative", defaults.eps_relative)
+    if not isinstance(eps_relative, bool):
+        raise ValueError(f"eps_relative must be true or false, got {eps_relative!r}")
+    return SolverConfig(
+        alpha=float(section.get("alpha", defaults.alpha)),
+        eps=float(section.get("eps", defaults.eps)),
+        eps_relative=eps_relative,
+        m_out=_int(section.get("m_out", defaults.m_out), "m_out"),
+        d_init=float(section.get("d_init_m", defaults.d_init)),
+        max_inner=_int(section.get("max_inner", defaults.max_inner), "max_inner"),
+        d_min=float(section.get("d_min_m", defaults.d_min)),
+        enum_cap=_int(section.get("enum_cap", defaults.enum_cap), "enum_cap"),
+    )
 
 
 def _parse_experiment(section: dict) -> ExperimentSpec:
     return ExperimentSpec(
         kind=_get(section, "experiment", "kind"),
         grid=tuple(float(x) for x in _get(section, "experiment", "grid")),
-        trials=int(section.get("trials", 1)),
-        seed=int(section.get("seed", 0)),
+        trials=_int(section.get("trials", 1), "trials"),
+        seed=_int(section.get("seed", 0), "seed"),
         strategies=tuple(section.get("strategies", ["proposed"])),
     )
 
 
 def scenario_from_dict(doc: dict) -> tuple[Scenario, ExperimentSpec]:
+    """Parse a scenario document; ScenarioError names the malformed section or field."""
     for key in ("band", "link_params", "devices"):
         if key not in doc:
             raise ScenarioError(f"missing top-level section {key!r}")
+    section = "band"
     try:
         band = _parse_band(doc["band"])
-    except DomainError as exc:
-        raise ScenarioError(f"band: {exc}") from exc
-    try:
+        section = "link_params"
         params = _parse_link_params(doc["link_params"])
-    except DomainError as exc:
-        raise ScenarioError(f"link_params: {exc}") from exc
-    devices = _parse_devices(doc["devices"], band.bandwidth, band.n)
-    config = _parse_solver(doc.get("solver", {}))
-    try:
+        section = "solver"
+        config = _parse_solver(doc.get("solver", {}))
+        section = "devices"
+        devices = _parse_devices(doc["devices"], band.bandwidth, band.n)
         scenario = Scenario(band=band, params=params, devices=devices, config=config)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    experiment = _parse_experiment(doc.get("experiment", {"kind": "tc_vs_power", "grid": [30.0]}))
+        section = "experiment"
+        experiment = _parse_experiment(doc.get("experiment", {"kind": "tc_vs_power", "grid": [30.0]}))
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ScenarioError(f"{section}: {exc}") from exc
     return scenario, experiment
 
 

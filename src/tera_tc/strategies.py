@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -19,16 +19,15 @@ from scipy.optimize import brentq
 from .assignment import (
     EnumerationCapError,
     check_assignment,
-    exhaustive_assign,
     hungarian_assign,
 )
 from .channel import BandPlan, LinkParams, exp_inverse_gain, log_inverse_gain
 from .distance_power import (
-    ConvergenceError,
     InfeasibleError,
     IterState,
     Regime,
     SolverConfig,
+    _newton_descent,
     classify_regime,
     iterate_power_distance,
 )
@@ -265,9 +264,9 @@ def distance_max_benchmark(scenario: Scenario) -> Allocation:
 
         g(t) = base_k + t + ln(2 + k e^t) + k e^t = -ln nu.
 
-    g is increasing and convex, so array Newton started at the k = 0 root
-    (an upper bound) descends monotonically onto every device's root. Total
-    power is strictly decreasing in nu; ln nu is found by `brentq` on
+    g is increasing and convex, so `_newton_descent` started at the k = 0
+    root (an upper bound) descends monotonically onto every device's root.
+    Total power is strictly decreasing in nu; ln nu is found by `brentq` on
     ln sum(p) - ln P_T. `iterations` counts the dual evaluations, each one
     array Newton solve over all devices.
     """
@@ -292,15 +291,13 @@ def distance_max_benchmark(scenario: Scenario) -> Allocation:
     def distances_for_nu(log_nu: float) -> np.ndarray:
         nonlocal evaluations
         evaluations += 1
-        t = -log_nu - base - math.log(2.0)
-        for _ in range(200):
+
+        def g(t):
             x = k * np.exp(t)
-            g = base + t + np.log(2.0 + x) + x + log_nu
-            step = g / ((2.0 + 2.0 * x) / (2.0 + x) + x)
-            t -= step
-            if np.all(np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(t))):
-                return np.exp(t)
-        raise ConvergenceError("distance-maximization Newton iteration did not converge")
+            return base + t + np.log(2.0 + x) + x + log_nu, (2.0 + 2.0 * x) / (2.0 + x) + x
+
+        t0 = -log_nu - base - math.log(2.0)
+        return np.exp(_newton_descent(g, t0, "distance-maximization"))
 
     def log_power_gap(log_nu: float) -> float:
         log_p = log_powers(distances_for_nu(log_nu))

@@ -1,6 +1,8 @@
 """The CLI and scenario loader turn bad inputs into exit code 2 with a message."""
 
+import csv
 import json
+import os
 import warnings
 
 import pytest
@@ -81,6 +83,28 @@ def test_link_curve_default_range_still_writes(tmp_path):
     out = tmp_path / "curve.csv"
     assert main(LINK_CURVE + ["--points", "5", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 5 + 1  # header, grid, optimum
+
+
+def test_link_curve_optimum_below_a_nanometre(tmp_path):
+    """At -220 dBm without absorption the optimum sits near 6e-11 m."""
+    out = tmp_path / "curve.csv"
+    argv = ["link-curve", "--f", "5e11", "--kabs", "0", "--power", "-220"]
+    assert main(argv + ["--points", "5", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        optimum = list(csv.DictReader(fh))[-1]
+    assert optimum["is_optimum"] == "1"
+    assert 0.0 < float(optimum["distance_m"]) < 1e-8
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", str((os.cpu_count() or 1) + 1), "1000000"])
+def test_run_rejects_parallel_outside_cpu_count(tmp_path, capsys, workers):
+    # Rejected before the scenario loads, so no pool of that size is ever started.
+    out = tmp_path / "out"
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(_doc_with_table("bundled")))
+    assert main(["run", "--spec", str(spec), "--out", str(out), "--parallel", workers]) == 2
+    assert capsys.readouterr().err.startswith("error: --parallel: ")
+    assert not out.exists()
 
 
 def _doc_with_table(path):

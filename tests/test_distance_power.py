@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tera_tc.channel import LinkParams, bundled_absorption_table, log_inverse_gain
@@ -22,6 +22,7 @@ from tera_tc.distance_power import (
     thm1_distance_update,
 )
 from tera_tc.scenario import uniform_band
+from tera_tc.units import dbm_to_watts
 from conftest import make_params
 
 LN2 = math.log(2.0)
@@ -87,6 +88,11 @@ class TestOptimalDistancePair:
         d1, _ = optimal_distance_pair(0.01, 5e11, 0.0, 1e9, params)
         d4, _ = optimal_distance_pair(0.04, 5e11, 0.0, 1e9, params)
         assert d4 == pytest.approx(2.0 * d1, rel=1e-10)
+        # Optima near 6e-11 m and 2e11 m, far outside any fixed search bracket.
+        for p in (1e-25, 1e18):
+            d, xi = optimal_distance_pair(p, 5e11, 0.0, 1e9, params)
+            assert d == pytest.approx(d1 * math.sqrt(p / 0.01), rel=1e-10)
+            assert xi == pytest.approx(XI_STATIONARY_0, rel=1e-8)
 
     def test_matches_dense_grid(self, params):
         d_opt, _ = optimal_distance_pair(params.p_total, 5e11, 0.2, 1e9, params)
@@ -348,6 +354,24 @@ class TestSolverConfigRanges:
     def test_rejected(self, fields):
         with pytest.raises(ValueError):
             SolverConfig(**fields)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(-250.0, 250.0),  # power, dBm
+    st.floats(1e11, 1e13),  # frequency, Hz
+    st.one_of(st.just(0.0), st.floats(1e-6, 100.0)),  # k_abs, 1/m
+)
+@example(113.0, 1e11, 29.0)  # k d ~ 4e8 at t0: the slope must not overflow
+def test_optimal_distance_descends_from_the_absorption_free_root(p_dbm, f, k_abs):
+    """The optimum never lies beyond the closed-form root without absorption
+    and meets the stationarity condition."""
+    params = make_params()
+    p = float(dbm_to_watts(p_dbm))
+    d, xi = optimal_distance_pair(p, f, k_abs, 1e9, params)
+    t0 = 0.5 * (math.log(p) - math.log(XI_STATIONARY_0) - log_inverse_gain(f, 0.0, 1.0, 1e9, params))
+    assert math.log(d) <= t0 + 1e-12 * max(1.0, abs(t0))
+    assert abs(stationarity_lhs(xi) - (2.0 + k_abs * d)) <= 1e-9
 
 
 BAND_20 = uniform_band(500e9, 600e9, 20, bundled_absorption_table())

@@ -227,3 +227,28 @@ def test_device_count_bounded_before_expansion():
         scenario_from_dict(minimal_doc(devices=[{"count": 11}]))
     with pytest.raises(ScenarioError, match=r"^devices\[1\]\.count: 11 devices exceed 10"):
         scenario_from_dict(minimal_doc(devices=[{"count": 6}, {"count": 5}]))
+
+
+@pytest.mark.parametrize(
+    "section, fields, pattern",
+    [
+        ("experiment", {"grid": ["abc"]}, "^experiment: "),
+        ("experiment", {"grid": 30}, "^experiment: "),
+        ("experiment", {"grid": [math.nan]}, r"^experiment\.grid: "),
+        ("experiment", {"trials": "x"}, "^experiment: trials "),
+        ("devices", {"rate_req_bps_per_hz": "abc"}, "^devices: "),
+        ("devices", {"count": 1.7}, "^devices: count "),
+        (None, {"devices": {"a": 1}}, "^devices: "),
+        ("link_params", {"p_total_dbm": "abc"}, "^link_params: "),
+        ("band", {"f_start_hz": None}, "^band: "),
+        ("band", {"n_subwindows": 0}, "^band: n_subwindows "),
+        ("solver", {"m_out": 2.7}, "^solver: m_out "),
+        ("solver", {"eps_relative": "false"}, "^solver: eps_relative "),
+    ],
+)
+def test_wrong_typed_field_names_its_section(section, fields, pattern):
+    doc = minimal_doc(solver={})
+    target = doc if section is None else doc["devices"][0] if section == "devices" else doc[section]
+    target.update(fields)
+    with pytest.raises(ScenarioError, match=pattern):
+        scenario_from_dict(doc)
