@@ -25,6 +25,13 @@ Two cases keep the plain call:
 - payoffs with equal rows (round 0 of `proposed_tc_max` builds every row
   from the same uniform distance and power). Every permutation is then
   optimal and scipy's own tie-break picks the one returned.
+
+`hungarian_assign` and `check_assignment` also take a stack of T
+independent problems (a T x K x N payoff, a T x K assignment). The
+prelude before scipy (cost, equal-row test, potentials, shift) runs once
+over the whole stack, scipy once per problem; each problem gets exactly
+the answer it gets alone. A single 2-D payoff is the stack of one, a view
+with no extra copy.
 """
 
 from __future__ import annotations
@@ -47,14 +54,18 @@ class EnumerationCapError(RuntimeError):
     """Exhaustive enumeration would exceed the configured cap."""
 
 
-def _check_payoff(payoff) -> np.ndarray:
+def _check_payoff(payoff, stacked: bool = False) -> np.ndarray:
     payoff = np.asarray(payoff, dtype=float)
-    if payoff.ndim != 2:
-        raise AssignmentError("payoff matrix must be 2-D (devices x subwindows)")
-    n_dev, n_sub = payoff.shape
+    if payoff.ndim != 2 and not (stacked and payoff.ndim == 3):
+        raise AssignmentError(
+            "payoff must be a 2-D (devices x subwindows) matrix or a 3-D stack of them"
+            if stacked
+            else "payoff matrix must be 2-D (devices x subwindows)"
+        )
+    n_dev, n_sub = payoff.shape[-2:]
     if n_dev > n_sub:
         raise AssignmentError(f"more devices ({n_dev}) than subwindows ({n_sub})")
-    if not np.all(np.isfinite(payoff)):
+    if not np.isfinite(payoff).all():
         raise AssignmentError("payoff matrix contains NaN/inf entries")
     return payoff
 
@@ -67,16 +78,18 @@ def assignment_payoff(payoff, n_of_k) -> float:
 
 
 def check_assignment(n_of_k, n_subwindows: int) -> None:
-    """Raise unless the assignment is total and injective."""
-    n_of_k = np.asarray(n_of_k)
-    if np.any(n_of_k < 0) or np.any(n_of_k >= n_subwindows):
+    """Raise unless the assignment (or each row of a stack of them) is
+    total and injective: one sort, then the ends and the neighbours."""
+    s = np.sort(n_of_k, axis=-1)
+    if (s[..., :1] < 0).any() or (s[..., -1:] >= n_subwindows).any():
         raise AssignmentError("subwindow index out of range")
-    if len(np.unique(n_of_k)) != len(n_of_k):
+    if (s[..., 1:] == s[..., :-1]).any():
         raise AssignmentError("a subwindow is assigned to more than one device")
 
 
-def _may_have_equal_rows(cost: np.ndarray) -> bool:
-    """Whether two rows of a nonnegative cost matrix may be equal.
+def _may_have_equal_rows(cost: np.ndarray) -> np.ndarray:
+    """Whether two rows of each nonnegative cost matrix in a T x n x n
+    stack may be equal, as a length-T bool array.
 
     Each row is projected on a fixed positive vector. BLAS may sum two
     equal rows in different orders, so their projections can differ by
@@ -84,13 +97,14 @@ def _may_have_equal_rows(cost: np.ndarray) -> bool:
     nonnegative; projections that close count as equal. A false alarm only
     costs speed.
     """
-    n = cost.shape[1]
-    h = np.sort(cost @ np.linspace(1.0, 2.0, n))
-    return bool(np.any(np.diff(h) <= 4.0 * n * np.finfo(float).eps * h[1:]))
+    n = cost.shape[-1]
+    h = np.sort(cost @ np.linspace(1.0, 2.0, n), axis=-1)
+    return (h[:, 1:] - h[:, :-1] <= 4.0 * n * np.finfo(float).eps * h[:, 1:]).any(axis=-1)
 
 
 def _column_potentials(payoff: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Sorted-chain estimate of the column duals of a square cost matrix.
+    """Sorted-chain estimate of the column duals of each square cost
+    matrix in a T x n x n stack, as a T x n array.
 
     Columns are scored by their summed row-normalised cost, rows by their
     slope against that score; one power-iteration step re-scores the
@@ -99,53 +113,67 @@ def _column_potentials(payoff: np.ndarray, cost: np.ndarray) -> np.ndarray:
     both rankings. For two neighbours on this chain, (r0, c0) and (r1, c1), dual
     feasibility bounds v[c1] - v[c0] from above by cost[r0, c1] -
     cost[r0, c0] and from below by cost[r1, c1] - cost[r1, c0]; the
-    midpoints telescope along the chain. O(n^2) work, no n x n temporary.
+    midpoints telescope along the chain. O(n^2) work per matrix, no n x n
+    temporary. Every product is one BLAS matrix-vector call per matrix.
     """
-    n = cost.shape[0]
-    scale = np.maximum(payoff.max(axis=1), -payoff.min(axis=1))
-    w = np.divide(1.0, scale, out=np.zeros(n), where=scale > 0)
-    score = w @ cost
-    slope = w * (cost @ (score - score.mean()))
-    score = (slope - slope.mean()) @ cost
-    slope = w * (cost @ (score - score.mean()))
-    rows = np.argsort(-slope, kind="stable")
-    cols = np.argsort(score, kind="stable")
-    r0, r1, c0, c1 = rows[:-1], rows[1:], cols[:-1], cols[1:]
-    step = 0.5 * ((cost[r0, c1] - cost[r0, c0]) + (cost[r1, c1] - cost[r1, c0]))
-    v = np.empty(n)
-    v[cols] = np.concatenate(([0.0], np.cumsum(step)))
+    n = cost.shape[-1]
+    scale = np.maximum(payoff.max(axis=-1), -payoff.min(axis=-1))
+    w = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
+
+    def centred(x):
+        return x - x.sum(axis=-1, keepdims=True) / n
+
+    score = (w[:, None, :] @ cost)[:, 0]
+    slope = w * (cost @ centred(score)[:, :, None])[:, :, 0]
+    score = (centred(slope)[:, None, :] @ cost)[:, 0]
+    slope = w * (cost @ centred(score)[:, :, None])[:, :, 0]
+    rows = (-slope).argsort(axis=-1, kind="stable")
+    cols = score.argsort(axis=-1, kind="stable")
+    r0, r1, c0, c1 = rows[:, :-1], rows[:, 1:], cols[:, :-1], cols[:, 1:]
+    t = np.arange(len(cost))[:, None]
+    step = 0.5 * ((cost[t, r0, c1] - cost[t, r0, c0]) + (cost[t, r1, c1] - cost[t, r1, c0]))
+    v = np.empty_like(scale)
+    v[t, cols[:, :1]] = 0.0
+    v[t, c1] = step.cumsum(axis=-1)
     return v
 
 
 def _shift_columns(payoff: np.ndarray, cost: np.ndarray) -> None:
-    """Subtract `_column_potentials` from a square cost matrix in place,
-    unless two rows may be equal or the shifted cost could overflow."""
+    """Subtract `_column_potentials` in place from each square cost matrix
+    of a T x n x n stack, except where two rows may be equal or the
+    shifted cost could overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if _may_have_equal_rows(cost):
+        shift = ~_may_have_equal_rows(cost)
+        if not shift.any():
             return
         v = _column_potentials(payoff, cost)
         # cost >= 0, so |cost - v| stays below this bound.
-        if np.isfinite(cost.max() + np.abs(v).max()):
-            cost -= v
+        shift &= np.isfinite(cost.max(axis=(1, 2)) + np.abs(v).max(axis=-1))
+        if shift.any():
+            cost -= np.where(shift[:, None], v, 0.0)[:, None, :]
 
 
 def hungarian_assign(payoff) -> np.ndarray:
     """Assignment maximizing the total payoff, one subwindow per device.
 
-    Returns an int array `n_of_k` of length K. Rectangular K < N matrices
-    are handled directly (unassigned subwindows are simply unused). A
-    square payoff with pairwise distinct rows is solved on the cost shifted
-    by `_column_potentials` (see the module docstring).
+    Returns an int array `n_of_k` of length K, or T x K for a T x K x N
+    stack of payoffs, each row solved on its own. Rectangular K < N
+    matrices are handled directly (unassigned subwindows are simply
+    unused). A square payoff with pairwise distinct rows is solved on the
+    cost shifted by `_column_potentials` (see the module docstring).
     """
-    payoff = _check_payoff(payoff)
-    cost = payoff.max() - payoff
-    if cost.shape[0] == cost.shape[1]:
-        _shift_columns(payoff, cost)
-    rows, cols = linear_sum_assignment(cost)
-    n_of_k = np.empty(payoff.shape[0], dtype=int)
-    n_of_k[rows] = cols
-    check_assignment(n_of_k, payoff.shape[1])
-    return n_of_k
+    payoff = _check_payoff(payoff, stacked=True)
+    stack = payoff.reshape((-1,) + payoff.shape[-2:])
+    cost = stack.max(axis=(1, 2), keepdims=True) - stack
+    n_dev, n_sub = stack.shape[1:]
+    if n_dev == n_sub:
+        _shift_columns(stack, cost)
+    n_of_k = np.empty(stack.shape[:2], dtype=int)
+    for assigned, c in zip(n_of_k, cost):
+        rows, cols = linear_sum_assignment(c)
+        assigned[rows] = cols
+    check_assignment(n_of_k, n_sub)
+    return n_of_k.reshape(payoff.shape[:-1])
 
 
 def exhaustive_assign(payoff, cap: int = ENUM_CAP) -> np.ndarray:

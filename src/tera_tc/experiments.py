@@ -1,16 +1,19 @@
 """Experiment drivers: parameter sweeps, Monte Carlo CDFs, and CSV output.
 
 Every runner returns plain row dictionaries so results can be written as
-CSV (`write_results`) or inspected in memory. Sweep points and trials are
-independent jobs; with `workers > 1` they run in a process pool, in
+CSV (`write_results`) or inspected in memory. Sweep points, and blocks of
+Monte Carlo trials that share a (radius, strategy), are independent jobs;
+the fixed-distance strategies solve a whole block in one stacked pass.
+With `workers > 1` the jobs run in a process pool, in
 `_CHUNKS_PER_WORKER` chunks per worker, and are merged back in
-deterministic (sweep, trial) order, so output files are byte-identical
-regardless of parallelism.
+deterministic (sweep, trial) order. Each trial draws its own device
+positions, so output files are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import operator
@@ -25,7 +28,7 @@ from . import __version__
 from .channel import absorption_loss, log_inverse_gain, spreading_loss
 from .distance_power import optimal_distance_pair
 from .scenario import ExperimentSpec, Scenario, scenario_to_dict
-from .strategies import STRATEGIES, Allocation, DeviceSpec, audit_allocation
+from .strategies import FIXED_DISTANCE_STACKS, STRATEGIES, Allocation, DeviceSpec, audit_allocation
 from .units import dbm_to_watts
 
 _LN2 = math.log(2.0)
@@ -92,9 +95,10 @@ def _run_strategy_job(job):
     )
 
 
-#: Pool chunks per worker in `_map_jobs` (1200 CDF jobs on 2 workers: chunks
-#: of 38). A chunk costs one queue round trip, under a millisecond; a worker
-#: idles at the end of the map for at most about one chunk's run time.
+#: Pool chunks per worker in `_map_jobs` (304 CDF blocks of up to 4 trials
+#: on 2 workers: chunks of 10). A chunk costs one queue round trip, under a
+#: millisecond; a worker idles at the end of the map for at most about one
+#: chunk's run time.
 _CHUNKS_PER_WORKER = 16
 
 
@@ -156,22 +160,63 @@ def sample_disk_distances(rng: np.random.Generator, n: int, radius: float, d_min
     return np.maximum(radius * np.sqrt(rng.random(n)), d_min)
 
 
-def _cdf_job(job):
-    experiment, strategy, radius, trial, scenario, seed, radius_index = job
-    rng = np.random.default_rng([seed, radius_index, trial])
-    d = sample_disk_distances(
-        rng, scenario.n_devices, radius, scenario.config.d_min
-    )
-    devices = tuple(
-        DeviceSpec(dev.rate_req, di) for dev, di in zip(scenario.devices, d.tolist())
-    )
-    sc = replace(scenario, devices=devices)
+#: Most elements of one T x K x N float array of a CDF block (320 kB). A
+#: block holds T = max(1, _BLOCK_ELEMS // (K N)) trials, 4 at K = N = 100.
+#: Larger blocks are no faster and fragment the heap more: with 6-trial
+#: blocks the peak RSS of a process repeating the CDF experiment grew
+#: about twice as fast per repetition.
+_BLOCK_ELEMS = 40_000
+
+
+def _solve_stack(solve, scenario: Scenario, d: np.ndarray) -> list:
+    """`solve` on the T x K distance stack, each trial's allocation or
+    exception. A block that raises is solved again one trial at a time,
+    so that only the trials at fault record an error."""
     try:
-        alloc = STRATEGIES[strategy](sc)
+        return solve(scenario, d)
     except Exception as exc:
-        return _summary_row(experiment, strategy, radius, trial, None, f"{type(exc).__name__}: {exc}"), []
-    # Python floats pickle back from a pool worker far faster than numpy scalars.
-    return _summary_row(experiment, strategy, radius, trial, alloc), alloc.rates.tolist()
+        if len(d) == 1:
+            return [exc]
+    return [_solve_stack(solve, scenario, row[None])[0] for row in d]
+
+
+def _solve_each(strategy: str, scenario: Scenario, d: np.ndarray) -> list:
+    """`STRATEGIES[strategy]` on one scenario per row of distances, each
+    trial's allocation or exception."""
+    out = []
+    for row in d.tolist():
+        devices = tuple(DeviceSpec(dev.rate_req, di) for dev, di in zip(scenario.devices, row))
+        try:
+            out.append(STRATEGIES[strategy](replace(scenario, devices=devices)))
+        except Exception as exc:  # recorded per row, the experiment continues
+            out.append(exc)
+    return out
+
+
+def _cdf_job(job):
+    """One block of trials of one (radius, strategy): their summary rows
+    and the rates of the trials that solved, in trial order. Each trial's
+    distances come from its own generator, so blocks and workers do not
+    change them."""
+    experiment, strategy, radius, trials, scenario, seed, radius_index = job
+    n_dev, d_min = scenario.n_devices, scenario.config.d_min
+    d = np.array([
+        sample_disk_distances(np.random.default_rng([seed, radius_index, trial]), n_dev, radius, d_min)
+        for trial in trials
+    ])
+    stack = FIXED_DISTANCE_STACKS.get(strategy)
+    if stack is not None:
+        outcomes = _solve_stack(stack, scenario, d)
+    else:
+        outcomes = _solve_each(strategy, scenario, d)
+    summary, rates = [], []
+    for trial, alloc in zip(trials, outcomes):
+        if isinstance(alloc, Exception):
+            summary.append(_summary_row(experiment, strategy, radius, trial, None, f"{type(alloc).__name__}: {alloc}"))
+        else:
+            summary.append(_summary_row(experiment, strategy, radius, trial, alloc))
+            rates.append(alloc.rates)
+    return summary, np.concatenate(rates) if rates else np.empty(0)
 
 
 def run_cdf_fixed_distance(scenario: Scenario, spec: ExperimentSpec, workers: int = 1):
@@ -180,23 +225,29 @@ def run_cdf_fixed_distance(scenario: Scenario, spec: ExperimentSpec, workers: in
     trials jointly, and empirical CDF points are emitted per (radius,
     strategy).
 
+    One job solves a block of trials of one (radius, strategy); the
+    fixed-distance strategies solve a block in one stacked pass.
+
     Returns (summary_rows, cdf_rows).
     """
     strategies = spec.strategies or ("tc_fixed", "sum_rate")
+    block = max(1, _BLOCK_ELEMS // (scenario.n_devices * scenario.band.n))
     jobs = []
     for radius_index, radius in enumerate(spec.grid):
         for strategy in strategies:
-            for trial in range(spec.trials):
+            for start in range(0, spec.trials, block):
+                trials = range(start, min(start + block, spec.trials))
                 jobs.append(
-                    (spec.kind, strategy, radius, trial, scenario, spec.seed, radius_index)
+                    (spec.kind, strategy, radius, trials, scenario, spec.seed, radius_index)
                 )
     results = _map_jobs(_cdf_job, jobs, workers)
-    summary = [r[0] for r in results]
-    pooled: dict[tuple[float, str], list[float]] = {}
+    summary = [row for rows, _ in results for row in rows]
+    pooled: dict[tuple[float, str], list[np.ndarray]] = {}
     for job, (_, rates) in zip(jobs, results):
-        pooled.setdefault((job[2], job[1]), []).extend(rates)
+        pooled.setdefault((job[2], job[1]), []).append(rates)
     cdf_rows = []
     for (radius, strategy), rates in sorted(pooled.items()):
+        rates = np.sort(np.concatenate(rates))
         m = len(rates)
         cdf_rows += [
             {
@@ -206,7 +257,7 @@ def run_cdf_fixed_distance(scenario: Scenario, spec: ExperimentSpec, workers: in
                 "rate_bps": r,
                 "cdf": c,
             }
-            for r, c in zip(np.sort(rates).tolist(), (np.arange(1, m + 1) / m).tolist())
+            for r, c in zip(rates.tolist(), (np.arange(1, m + 1) / m).tolist())
         ]
     return summary, cdf_rows
 
@@ -327,11 +378,22 @@ DETAIL_FILENAMES = {
 }
 
 
+#: Rows formatted at a time by `write_results`. Small blocks keep each
+#: block's text (~20 kB for `cdf.csv`) in heap memory that the next block
+#: reuses; 4096-row blocks (300 kB strings) fragmented the heap, and the
+#: peak RSS of a process that repeats a CDF experiment grew ~2 MB with
+#: each repetition.
+_WRITE_BLOCK = 256
+
+
 def write_results(rows, path) -> None:
     """Write row dictionaries as CSV, columns in the first row's key order.
 
     Every row must have exactly the first row's keys (`ValueError` names
-    the first that does not). An empty `rows` writes an empty file.
+    the first that does not). An empty `rows` writes an empty file. The
+    bytes are those of `csv.writer` (minimal quoting, "\n" line ends); a
+    block of rows whose values `_plain_block` cannot format goes through
+    `csv.writer` itself.
     """
     rows = list(rows)
     fieldnames = list(rows[0]) if rows else []
@@ -340,7 +402,36 @@ def write_results(rows, path) -> None:
         if rows:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(fieldnames)
-            writer.writerows(values)
+            while block := list(itertools.islice(values, _WRITE_BLOCK)):
+                text = _plain_block(block)
+                if text is None:
+                    writer.writerows(block)
+                else:
+                    fh.write(text)
+
+
+def _plain_block(block):
+    """The CSV text of a block of value rows, formatted column by column
+    with `str`, or None where `csv.writer` would write a value otherwise.
+
+    `csv.writer` writes `str(value)`, except for None (an empty field) and
+    strings (their characters, also for a `str` subclass), and it quotes a
+    field holding a comma, a quote or a line break, and an empty field that
+    is a row's only one.
+    """
+    columns = []
+    for column in zip(*block):
+        types = set(map(type, column))
+        if type(None) in types or any(t is not str and issubclass(t, str) for t in types):
+            return None
+        text = list(map(str, column))
+        joined = "".join(text)
+        if "," in joined or '"' in joined or "\r" in joined or "\n" in joined:
+            return None
+        columns.append(text)
+    if len(columns) == 1 and "" in columns[0]:
+        return None
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def _row_values(rows, fieldnames):

@@ -147,6 +147,8 @@ def _parse_devices(entries, bandwidth: float, n_subwindows: int) -> tuple[Device
     devices = []
     for i, row in enumerate(entries):
         ctx = f"devices[{i}]"
+        if not isinstance(row, dict):
+            raise ScenarioError(f"{ctx}: must be an object")
         count = _int(row.get("count", 1), "count")
         if count < 1:
             raise ScenarioError(f"{ctx}.count: must be >= 1")
@@ -189,12 +191,15 @@ def _parse_solver(section: dict) -> SolverConfig:
 
 
 def _parse_experiment(section: dict) -> ExperimentSpec:
+    strategies = section.get("strategies", ["proposed"])
+    if not isinstance(strategies, list) or not all(isinstance(s, str) for s in strategies):
+        raise ScenarioError(f"experiment.strategies: must be a list of strategy names, got {strategies!r}")
     return ExperimentSpec(
         kind=_get(section, "experiment", "kind"),
         grid=tuple(float(x) for x in _get(section, "experiment", "grid")),
         trials=_int(section.get("trials", 1), "trials"),
         seed=_int(section.get("seed", 0), "seed"),
-        strategies=tuple(section.get("strategies", ["proposed"])),
+        strategies=tuple(strategies),
     )
 
 

@@ -5,6 +5,11 @@ Hungarian assignment at equal power, then water-filling) and the
 variable-distance strategies: the proposed iterative TC maximization, the
 distance-maximization and non-adaptive benchmarks, and an exhaustive
 assignment variant used as the small-instance oracle.
+
+The fixed-distance pipeline is written once, for a stack of T trials that
+share a scenario and differ in their device distances
+(`FIXED_DISTANCE_STACKS`); `fixed_distance_tc_max` and `sum_rate_max` are
+its T = 1 case.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -136,62 +142,72 @@ def audit_allocation(
 
 def _rate_matrix(scenario: Scenario, distances, powers) -> np.ndarray:
     """Per-(device, subwindow) rates (bps) at the given distances/powers."""
-    return _rates_at(scenario, _log_gain_matrix(scenario, distances), powers)
+    d = np.asarray(distances, dtype=float)
+    return _rates_at(scenario, _log_gain_matrix(scenario, d[:, None]), powers)
 
 
-def _log_gain_matrix(scenario: Scenario, distances) -> np.ndarray:
-    """K x N `log_inverse_gain` of every device on every subwindow."""
+def _log_gain_matrix(scenario: Scenario, d: np.ndarray) -> np.ndarray:
+    """`log_inverse_gain` of every device on every subwindow: a K x N array
+    for K x 1 distances, T x K x N for T x K x 1."""
     band = scenario.band
-    d = np.asarray(distances, dtype=float)[:, None]
-    return log_inverse_gain(
-        band.frequencies[None, :], band.k_abs[None, :], d, band.bandwidth, scenario.params
-    )
+    return log_inverse_gain(band.frequencies, band.k_abs, d, band.bandwidth, scenario.params)
 
 
 def _rates_at(scenario: Scenario, log_ginv: np.ndarray, powers) -> np.ndarray:
-    """Rates (bps) at per-device powers from a K x N log inverse gain."""
+    """Rates (bps) at per-device powers from a (stack of) K x N log inverse
+    gain."""
     p = np.asarray(powers, dtype=float)[:, None]
     with np.errstate(over="ignore"):
         snr = np.where(p > 0, np.exp(np.log(np.maximum(p, 1e-300)) - log_ginv), 0.0)
     return scenario.band.bandwidth * np.log1p(snr) / _LN2
 
 
-def _fixed_distance_pipeline(scenario: Scenario, weighted: bool, name: str) -> Allocation:
-    """Both fixed-distance strategies from one K x N link budget: the
-    equal-power payoff, the assigned inverse gains and the final rates."""
-    d = scenario.fixed_distances
-    n_dev = scenario.n_devices
-    log_ginv = _log_gain_matrix(scenario, d)
-    rates = _rates_at(scenario, log_ginv, np.full(n_dev, scenario.params.p_total / n_dev))
-    payoff = d[:, None] * rates if weighted else rates
+def _fixed_distance_stack(
+    scenario: Scenario, distances: np.ndarray, weighted: bool, name: str
+) -> list[Allocation]:
+    """Both fixed-distance strategies for T trials at once, one per row of
+    a T x K `distances` array (the devices' `fixed_distance` is not read).
+
+    One T x K x N link budget gives the equal-power payoffs, the assigned
+    inverse gains and the final rates; the assignment and the
+    water-filling each take the whole stack. Every trial gets exactly the
+    allocation it gets alone and is audited on its own; an error in any
+    trial is raised for the block. The allocations' arrays are rows of
+    the stacked results, so `distances` must not be changed afterwards.
+    """
+    n_trials, n_dev = distances.shape
+    p_total = scenario.params.p_total
+    log_ginv = _log_gain_matrix(scenario, distances[:, :, None])
+    rates = _rates_at(scenario, log_ginv, np.full(n_dev, p_total / n_dev))
+    payoff = distances[:, :, None] * rates if weighted else rates
     n_of_k = hungarian_assign(payoff)
-    ginv = exp_inverse_gain(log_ginv[np.arange(n_dev), n_of_k])
-    weights = d if weighted else np.ones(n_dev)
-    p = waterfill(weights, ginv, scenario.params.p_total)
+    ginv = exp_inverse_gain(log_ginv[np.arange(n_trials)[:, None], np.arange(n_dev), n_of_k])
+    p = waterfill(distances if weighted else np.ones(distances.shape), ginv, p_total)
     snr = np.where(np.isfinite(ginv), p / ginv, 0.0)
-    alloc = Allocation(
-        strategy=name,
-        subwindows=n_of_k,
-        powers=p,
-        distances=d.copy(),
-        rates=scenario.band.bandwidth * np.log1p(snr) / _LN2,
-        regimes=["fixed"] * n_dev,
-    )
-    audit_allocation(alloc, scenario, check_rate_floors=False)
-    return alloc
+    rates = scenario.band.bandwidth * np.log1p(snr) / _LN2
+    allocs = [
+        Allocation(strategy=name, subwindows=n, powers=pw, distances=d, rates=r,
+                   regimes=["fixed"] * n_dev)
+        for n, pw, d, r in zip(n_of_k, p, distances, rates)
+    ]
+    for alloc in allocs:
+        audit_allocation(alloc, scenario, check_rate_floors=False)
+    return allocs
 
 
 def fixed_distance_tc_max(scenario: Scenario) -> Allocation:
     """Two-stage TC maximization for given distances: Hungarian assignment
     on the rate-distance payoff at equal power, then distance-weighted
     water-filling."""
-    return _fixed_distance_pipeline(scenario, weighted=True, name="tc_fixed")
+    d = scenario.fixed_distances[None, :]
+    return _fixed_distance_stack(scenario, d, weighted=True, name="tc_fixed")[0]
 
 
 def sum_rate_max(scenario: Scenario) -> Allocation:
     """Fixed-distance comparator: the same two-stage pipeline with unit
     weights, maximizing the stage-wise sum rate instead of the TC."""
-    return _fixed_distance_pipeline(scenario, weighted=False, name="sum_rate")
+    d = scenario.fixed_distances[None, :]
+    return _fixed_distance_stack(scenario, d, weighted=False, name="sum_rate")[0]
 
 
 def _alloc_from_state(
@@ -395,6 +411,13 @@ def exhaustive_tc_max(scenario: Scenario) -> Allocation:
     audit_allocation(best, scenario, check_rate_floors=True)
     return best
 
+
+#: The fixed-distance strategies by name, in their stacked form:
+#: (scenario, T x K distances) -> T audited allocations.
+FIXED_DISTANCE_STACKS = {
+    "tc_fixed": partial(_fixed_distance_stack, weighted=True, name="tc_fixed"),
+    "sum_rate": partial(_fixed_distance_stack, weighted=False, name="sum_rate"),
+}
 
 STRATEGIES = {
     "tc_fixed": fixed_distance_tc_max,

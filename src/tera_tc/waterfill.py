@@ -8,7 +8,8 @@ water-level dual lam is chosen so the budget is met with equality.
 The active devices are a prefix of the order by descending w_k/g_k, so the
 water level is found exactly by one sort and a cumulative sum (Palomar and
 Fonollosa, "Practical algorithms for a family of waterfilling solutions",
-IEEE Trans. Signal Process. 53(2), 2005).
+IEEE Trans. Signal Process. 53(2), 2005). A T x K stack of independent
+problems with one budget is solved row by row in the same array pass.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ class WaterfillError(ValueError):
 def waterfill(weights, inverse_gains, p_total: float) -> np.ndarray:
     """Powers (W) maximizing sum_k w_k log2(1 + p_k / g_k) s.t. sum p = p_total.
 
+    `weights` and `inverse_gains` are matching 1-D arrays, or T x K stacks
+    whose rows are separate problems, each with the budget `p_total`.
     `inverse_gains` may contain +inf for channels killed by absorption;
     those devices get exactly zero power. With the usable devices sorted by
     descending w/g, the prefix water levels are lam_m = sum_{i<=m} w_i /
@@ -31,26 +34,32 @@ def waterfill(weights, inverse_gains, p_total: float) -> np.ndarray:
     """
     w = np.asarray(weights, dtype=float)
     g = np.asarray(inverse_gains, dtype=float)
-    if w.shape != g.shape or w.ndim != 1:
-        raise WaterfillError("weights and inverse_gains must be matching 1-D arrays")
-    if np.any(w <= 0) or np.any(g <= 0):
+    if w.shape != g.shape or w.ndim not in (1, 2):
+        raise WaterfillError("weights and inverse_gains must be matching 1-D arrays or 2-D stacks")
+    if (w <= 0).any() or (g <= 0).any():
         raise WaterfillError("weights and inverse gains must be > 0")
     if not p_total > 0:
         raise WaterfillError("p_total must be > 0")
 
     usable = np.isfinite(g)
-    if not usable.any():
+    if not usable.any(axis=-1).all():
         raise WaterfillError("every channel has zero gain; no feasible allocation")
-    wu, gu = w[usable], g[usable]
+    shape = w.shape
+    w, g, usable = (a.reshape(-1, shape[-1]) for a in (w, g, usable))
+    t = np.arange(len(w))[:, None]
 
-    order = np.argsort(-wu / gu, kind="stable")
-    levels = np.cumsum(wu[order]) / (p_total + np.cumsum(gu[order]))
-    above = wu[order] / gu[order] > levels  # True for m = 0 since p_total > 0
-    n_active = above.size if above.all() else int(np.argmin(above))
-    lam = levels[n_active - 1]
-    p_u = np.maximum(0.0, wu / lam - gu)
-    p_u *= p_total / p_u.sum()
-
-    p = np.zeros_like(w)
-    p[usable] = p_u
-    return p
+    # Killed channels sort last; the usable ones keep their relative order.
+    order = np.where(usable, -(w / g), np.inf).argsort(axis=-1, kind="stable")
+    ws, gs = w[t, order], g[t, order]
+    levels = ws.cumsum(axis=-1) / (p_total + gs.cumsum(axis=-1))
+    above = ws / gs > levels  # True for m = 0 since p_total > 0; False past the usable prefix
+    n_active = np.where(above.all(axis=-1), above.shape[-1], above.argmin(axis=-1))
+    lam = levels[t, n_active[:, None] - 1]
+    p = np.maximum(0.0, w / lam - g)  # exactly 0 where g is inf
+    total = p.sum(axis=-1)
+    for i in np.flatnonzero(~usable.all(axis=-1)):
+        # The usable powers alone: the zeros between them would change the
+        # pairwise summation's rounding.
+        total[i] = p[i, usable[i]].sum()
+    p *= (p_total / total)[:, None]
+    return p.reshape(shape)

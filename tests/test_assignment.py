@@ -106,6 +106,15 @@ def test_check_assignment():
         check_assignment([0, 0], 3)
     with pytest.raises(AssignmentError):
         check_assignment([0, 3], 3)
+    # A stack of assignments: every row is checked on its own.
+    check_assignment([[0, 2, 1], [2, 1, 0]], 3)
+    check_assignment(np.empty((2, 0), dtype=int), 3)
+    with pytest.raises(AssignmentError, match="more than one device"):
+        check_assignment([[0, 2, 1], [1, 2, 1]], 3)
+    with pytest.raises(AssignmentError, match="out of range"):
+        check_assignment([[0, 2, 1], [0, 1, 3]], 3)
+    with pytest.raises(AssignmentError, match="out of range"):
+        check_assignment([[0, 1], [-1, 1]], 3)
 
 
 def _plain_assign(payoff) -> np.ndarray:

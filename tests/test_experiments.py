@@ -7,7 +7,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tera_tc import experiments
 from tera_tc.channel import bundled_absorption_table
 from tera_tc.cli import main
 from tera_tc.experiments import (
@@ -23,7 +26,7 @@ from tera_tc.experiments import (
     write_results,
 )
 from tera_tc.scenario import ExperimentSpec, save_scenario, uniform_band
-from tera_tc.strategies import DeviceSpec, Scenario, proposed_tc_max
+from tera_tc.strategies import STRATEGIES, DeviceSpec, Scenario, proposed_tc_max
 from tera_tc.units import dbm_to_watts
 from conftest import make_params
 
@@ -130,6 +133,35 @@ class TestCdf:
                 assert 0 < values[0] <= 1
                 assert values[-1] == 1.0
 
+    def test_failing_trial_fails_alone_in_its_block(self):
+        # One device on four subwindows, so all 12 trials form one block.
+        # Drops past ~14 km kill the device's every channel (k d > 700),
+        # so those trials raise WaterfillError.
+        sc = small_scenario(n=4, fixed=[1.0])
+        sc = dataclasses.replace(sc, devices=sc.devices[:1])
+        spec = ExperimentSpec(
+            kind="cdf_fixed_distance", grid=(3e4,), trials=12, seed=5, strategies=("tc_fixed",)
+        )
+        summary, cdf = run_cdf_fixed_distance(sc, spec)
+        expected = []
+        for trial in range(spec.trials):
+            rng = np.random.default_rng([spec.seed, 0, trial])
+            d = sample_disk_distances(rng, 1, 3e4, sc.config.d_min)
+            try:
+                alloc = STRATEGIES["tc_fixed"](
+                    dataclasses.replace(sc, devices=(DeviceSpec(fixed_distance=float(d[0])),))
+                )
+            except Exception as exc:
+                expected.append(("", f"{type(exc).__name__}: {exc}"))
+            else:
+                expected.append((str(alloc.tc), ""))
+        errors = [e for _, e in expected if e]
+        assert 0 < len(errors) < spec.trials  # both kinds share the block
+        assert all(e.startswith("WaterfillError: every channel has zero gain") for e in errors)
+        # str() compares the TCs exactly, and a NaN one equal to itself.
+        assert [(str(r["tc_m_bps"]), r["error"]) for r in summary] == expected
+        assert len(cdf) == spec.trials - len(errors)
+
     def test_serial_parallel_identical(self):
         sc = small_scenario(n=6, fixed=[1.0] * 6)
         spec = ExperimentSpec(
@@ -203,6 +235,32 @@ class TestLinkCurve:
         assert opt[0]["tc_m_bps"] >= grid_best * (1 - 1e-9)
 
 
+class _Text(str):
+    """A str subclass whose str() is not its characters."""
+
+    def __str__(self):
+        return "other"
+
+
+_CSV_SPECIALS = st.text(alphabet=',"\r\n ab', max_size=4)
+#: Value strategies for one CSV column: plain columns take the
+#: column-by-column path, the others fall back to csv.writer.
+_CSV_COLUMNS = st.sampled_from([
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([1, 1.0, True]),
+    st.integers(-(10**20), 10**20),
+    st.text(alphabet="ab .-", max_size=3),
+    st.just(""),
+    _CSV_SPECIALS,
+    st.sampled_from(["x", "a\nb", "a\rb", "a,b", 'say "hi"', ""]),
+    st.none() | st.floats(),
+    st.floats().map(np.float64) | st.integers(-5, 5).map(np.int64) | st.booleans().map(np.bool_),
+    st.text(alphabet="ab", max_size=2).map(_Text) | st.text(alphabet="ab", max_size=2),
+    st.one_of(st.floats(), st.integers(), st.booleans(), st.none(), _CSV_SPECIALS),
+])
+
+
 class TestWriteAndRun:
     def test_write_results_stable(self, tmp_path):
         rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
@@ -241,6 +299,24 @@ class TestWriteAndRun:
             del rows[2]["b"]
         with pytest.raises(ValueError, match="^row 2 "):
             write_results(rows, tmp_path / "out.csv")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_write_results_matches_dict_writer_in_every_block(self, tmp_path_factory, data):
+        # Blocks of 3 rows: a file mixes blocks written column by column
+        # and blocks that need csv.writer's own rules.
+        columns = data.draw(st.lists(_CSV_COLUMNS, min_size=1, max_size=4))
+        n_rows = data.draw(st.integers(1, 12))
+        rows = [
+            {f"c{j}": data.draw(column) for j, column in enumerate(columns)}
+            for _ in range(n_rows)
+        ]
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_WRITE_BLOCK", 3)
+            write_results(rows, path)
+        with open(path, newline="") as fh:
+            assert fh.read() == self.dict_writer_text(rows)
 
     def test_write_results_single_column(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -244,6 +244,10 @@ def test_device_count_bounded_before_expansion():
         ("band", {"n_subwindows": 0}, "^band: n_subwindows "),
         ("solver", {"m_out": 2.7}, "^solver: m_out "),
         ("solver", {"eps_relative": "false"}, "^solver: eps_relative "),
+        ("experiment", {"strategies": "proposed"}, r"^experiment\.strategies: must be a list"),
+        ("experiment", {"strategies": ["proposed", 1]}, r"^experiment\.strategies: must be a list"),
+        (None, {"devices": [1]}, r"^devices\[0\]: must be an object$"),
+        (None, {"devices": [{"count": 2}, "x"]}, r"^devices\[1\]: must be an object$"),
     ],
 )
 def test_wrong_typed_field_names_its_section(section, fields, pattern):

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tera_tc.assignment import EnumerationCapError
 from tera_tc.channel import (
@@ -18,6 +21,8 @@ from tera_tc.channel import (
 from tera_tc.distance_power import InfeasibleError, SolverConfig, iterate_power_distance
 from tera_tc.scenario import default_scenario, uniform_band
 from tera_tc.strategies import (
+    FIXED_DISTANCE_STACKS,
+    STRATEGIES,
     Allocation,
     DeviceSpec,
     Scenario,
@@ -116,6 +121,55 @@ class TestFixedDistance:
         )
         with pytest.raises(ValueError):
             fixed_distance_tc_max(sc)
+
+
+_BANDS = {}
+
+
+def _band_of(n):
+    """n subwindows over 550-560 GHz, across the 555 GHz absorption peak."""
+    if n not in _BANDS:
+        _BANDS[n] = uniform_band(550e9, 560e9, n, bundled_absorption_table())
+    return _BANDS[n]
+
+
+@st.composite
+def _fixed_distance_stacks(draw):
+    """A band, a power and a T x K stack of distances: drops within 40 m,
+    and devices far enough (10-60 km) that their inverse gain overflows to
+    inf on every subwindow."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, n))
+    t = draw(st.integers(1, 9))
+    near = st.floats(1e-3, 40.0)
+    far = st.floats(1e4, 6e4)
+    d = draw(arrays(float, (t, k), elements=near | far))
+    return _band_of(n), draw(st.floats(-10.0, 40.0)), d
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fixed_distance_stacks(), st.sampled_from(["tc_fixed", "sum_rate"]))
+def test_stacked_trials_match_single_scenario_calls(case, name):
+    band, p_dbm, d = case
+    base = Scenario(band=band, params=make_params(p_dbm), devices=(DeviceSpec(),) * d.shape[1])
+    single = []
+    for row in d:
+        sc = dataclasses.replace(base, devices=tuple(DeviceSpec(fixed_distance=x) for x in row.tolist()))
+        try:
+            single.append(STRATEGIES[name](sc))
+        except Exception as exc:  # an all-far trial: every channel killed
+            single.append(exc)
+    if any(isinstance(a, Exception) for a in single):
+        with pytest.raises(Exception):
+            FIXED_DISTANCE_STACKS[name](base, d.copy())
+        return
+    stacked = FIXED_DISTANCE_STACKS[name](base, d.copy())
+    assert len(stacked) == len(single)
+    for a, b in zip(stacked, single):
+        assert a.strategy == b.strategy and a.regimes == b.regimes
+        assert np.array_equal(a.subwindows, b.subwindows)
+        for field in ("powers", "distances", "rates"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
 
 class TestProposed:
