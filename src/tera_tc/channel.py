@@ -1,8 +1,10 @@
 """THz line-of-sight link budget.
 
 Pure functions for the long-term channel power gain (spreading loss times
-molecular absorption), SNR, per-subwindow Shannon rate, and the per-device
-rate-distance product that the allocation strategies maximize.
+molecular absorption), SNR, the per-device rate-distance product that the
+allocation strategies maximize, and the only copies of the Shannon rate
+W log2(1 + SNR) and of its inverse, the SNR a rate floor needs
+(`shannon_rate`, `floor_snr`; W = 1 for spectral efficiencies).
 
 All quantities are linear (W, W/Hz, dimensionless gains); convert dB inputs
 with :mod:`tera_tc.units` before constructing these types.
@@ -24,6 +26,9 @@ C_VACUUM = 2.998e8
 #: Distances below this are treated as invalid for loss/rate evaluation;
 #: the spreading loss diverges as d -> 0, so callers clamp to this floor.
 D_MIN = 1e-3
+
+#: ln 2, the factor between natural-log and log2 rates.
+LN2 = math.log(2.0)
 
 #: Guard for exp() overflow when building inverse channel gains; beyond
 #: this absorption exponent the gain is treated as exactly zero.
@@ -183,9 +188,20 @@ def snr(link: Link, params: LinkParams):
     return link.power * channel_gain(link, params) / noise_power(link.bandwidth, params)
 
 
+def shannon_rate(snr, bandwidth):
+    """Shannon rate W log2(1 + snr), in bps for W in Hz; W = 1 gives the
+    spectral efficiency in bps/Hz."""
+    return bandwidth * np.log1p(snr) / LN2
+
+
+def floor_snr(rate, bandwidth):
+    """The SNR 2^(rate/W) - 1 at which `shannon_rate` equals `rate`."""
+    return np.expm1(rate / bandwidth * LN2)
+
+
 def rate(link: Link, params: LinkParams):
     """Shannon rate W * log2(1 + SNR) of the link, in bps."""
-    return link.bandwidth * np.log2(1.0 + snr(link, params))
+    return shannon_rate(snr(link, params), link.bandwidth)
 
 
 def rate_distance_product(link: Link, params: LinkParams):

@@ -26,6 +26,8 @@ def _cmd_run(args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.parallel <= cpus:
         raise ScenarioError(f"--parallel: must be between 1 and {cpus}, got {args.parallel}")
+    if args.seed is not None and args.seed < 0:
+        raise ScenarioError(f"--seed: must be >= 0, got {args.seed}")
     scenario, spec = load_scenario(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)

@@ -4,12 +4,14 @@ Implements the single-device optimality condition ln(1+xi)(1+xi)/xi =
 2 + d*k_abs, the two operating regimes (rate floor slack vs. binding), the
 maximum feasible distance for a given rate floor, and the iterative
 distance-power fixed point with exponential smoothing that drives the
-proposed allocation strategy.
+proposed allocation strategy; that loop builds one link budget per iterate.
 
 The stationary SNR and the maximum distance have closed forms in the
 principal Lambert W and the Wright omega function (Corless et al., "On the
 Lambert W function", Adv. Comput. Math. 5, 1996). Every link budget goes
-through `channel.log_inverse_gain`.
+through `channel.log_inverse_gain`, every rate through
+`channel.shannon_rate` and every rate floor's SNR through
+`channel.floor_snr`.
 
 `optimal_distance_pair`, `max_distance` and `classify_regime` take a scalar
 or an array per device argument: scalars give floats, arrays solve every
@@ -30,9 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import lambertw, wrightomega
 
-from .channel import D_MIN, LinkParams, log_inverse_gain
-
-_LN2 = math.log(2.0)
+from .assignment import ENUM_CAP
+from .channel import D_MIN, LinkParams, floor_snr, log_inverse_gain, shannon_rate
 
 
 class ConvergenceError(RuntimeError):
@@ -65,7 +66,7 @@ class SolverConfig:
     d_init: float = 10.0
     max_inner: int = 500
     d_min: float = D_MIN
-    enum_cap: int = 10_000_000
+    enum_cap: int = ENUM_CAP
 
     def __post_init__(self):
         if self.m_out < 1 or self.max_inner < 1:
@@ -82,6 +83,10 @@ class SolverConfig:
 class Regime(enum.Enum):
     TC_MAXIMIZED = "tc_maximized"
     DISTANCE_MAXIMIZED = "distance_maximized"
+
+
+def _regimes(pinned) -> list[Regime]:
+    return [Regime.DISTANCE_MAXIMIZED if flag else Regime.TC_MAXIMIZED for flag in pinned]
 
 
 @dataclass(frozen=True)
@@ -201,7 +206,7 @@ def max_distance(
     scalar, (p, req, f, k) = _device_arrays(power, rate_req, frequency, k_abs)
     if not (np.all(p > 0) and np.all(req > 0)):
         raise ValueError("power and rate_req must be > 0")
-    log_xi_req = np.log(np.expm1(req / bandwidth * _LN2))
+    log_xi_req = np.log(floor_snr(req, bandwidth))
     log_p = np.log(p)
     bad = np.flatnonzero(_log_snr(log_p, f, k, d_min, bandwidth, params) < log_xi_req)
     if bad.size:
@@ -223,7 +228,7 @@ def _pin_to_floor(mask, p, req, f, k, bandwidth, params, d_min):
         d = max_distance(p[mask], req[mask], f[mask], k[mask], bandwidth, params, d_min)
     except InfeasibleError as exc:
         raise InfeasibleError(str(exc), np.flatnonzero(mask)[list(exc.devices)]) from exc
-    return d, np.expm1(req[mask] / bandwidth * _LN2)
+    return d, floor_snr(req[mask], bandwidth)
 
 
 def classify_regime(
@@ -245,27 +250,15 @@ def classify_regime(
     """
     scalar, (p, req, f, k) = _device_arrays(power, rate_req, frequency, k_abs)
     d, xi = optimal_distance_pair(p, f, k, bandwidth, params)
-    eta = np.log1p(xi) / _LN2
+    eta = shannon_rate(xi, 1.0)
     pinned = req > bandwidth * eta
     if pinned.any():
         d[pinned], xi[pinned] = _pin_to_floor(pinned, p, req, f, k, bandwidth, params, d_min)
         eta[pinned] = req[pinned] / bandwidth
-    regimes = tuple(
-        Regime.DISTANCE_MAXIMIZED if flag else Regime.TC_MAXIMIZED for flag in pinned
-    )
+    regimes = tuple(_regimes(pinned))
     if scalar:
         return RegimeResult(regimes[0], float(d[0]), float(xi[0]), float(eta[0]))
     return RegimeResult(regimes, d, xi, eta)
-
-
-def _log_power_coeff(log_xi, frequencies, k_abs, distances, bandwidth, params):
-    """ln(c_k) where p_k = c_k * d_k^2 for SNR xi_k with the absorption loss
-    frozen at the current distances."""
-    return (
-        log_xi
-        + log_inverse_gain(frequencies, k_abs, distances, bandwidth, params)
-        - 2.0 * np.log(distances)
-    )
 
 
 def thm1_distance_update(
@@ -283,17 +276,14 @@ def thm1_distance_update(
     None it is set so the implied total power meets the budget exactly
     (total power scales as 1/nu^2, so the dual has a closed form).
     """
-    d = np.asarray(distances, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    f = np.asarray(frequencies, dtype=float)
-    k = np.asarray(k_abs, dtype=float)
-    log_c = _log_power_coeff(np.log(xi), f, k, d, bandwidth, params)
+    d, xi, f, k = (np.asarray(a, dtype=float) for a in (distances, xi, frequencies, k_abs))
+    log_c = np.log(xi) + log_inverse_gain(f, k, d, bandwidth, params) - 2.0 * np.log(d)
     return _dual_step(log_c, xi, params.p_total, nu)
 
 
 def _dual_step(log_c, xi, p_total: float, nu: float | None = None):
     """`thm1_distance_update` from ln(c_k): (d_hat, nu)."""
-    log_num = np.log(np.log1p(xi) / _LN2) - math.log(2.0)  # ln(log2(1+xi)/2)
+    log_num = np.log(shannon_rate(xi, 1.0)) - math.log(2.0)  # ln(log2(1+xi)/2)
     if nu is None:
         # sum_k c_k (log2(1+xi_k)/(2 nu c_k))^2 = P_T  =>  nu^2 = sum/(P_T)
         nu = math.sqrt(np.exp(2.0 * log_num - log_c).sum() / p_total)
@@ -317,23 +307,21 @@ class IterState:
 def _pin_masks(distances, k_abs, rate_reqs, bandwidth):
     """Devices whose rate floor exceeds the stationary spectral efficiency."""
     xi_tilde = solve_stationarity_snr(k_abs * distances)
-    eta_tilde = np.log1p(xi_tilde) / _LN2
-    pinned = np.asarray(rate_reqs) > bandwidth * eta_tilde
+    pinned = np.asarray(rate_reqs) > bandwidth * shannon_rate(xi_tilde, 1.0)
     return pinned, xi_tilde
 
 
-def _enforce_rate_floors(d, log_p, f, k, req, bandwidth, params, d_min):
-    """Final feasibility repair in one pass: pin every device whose floor binds
-    at its distance (`_pin_masks`) or whose rate misses it by more than 1e-12
-    relative. Free devices keep their distance and power; the pinned ones split
-    what the free ones leave of the budget in proportion to their powers and
-    move out to `max_distance` (never below d_min), so their rates are the floors.
+def _enforce_rate_floors(d, p, snrs, rates, f, k, req, bandwidth, params, d_min):
+    """Final feasibility repair in one pass over the last iterate's distances,
+    powers, SNRs and rates: pin every device whose floor binds at its distance
+    (`_pin_masks`) or whose rate misses it by more than 1e-12 relative. Free
+    devices keep their distance and power; the pinned ones split what the free
+    ones leave of the budget in proportion to their powers and move out to
+    `max_distance` (never below d_min), so their rates are the floors.
 
-    Returns (distances, powers, snrs, rates, pinned mask).
+    Returns (distances, powers, snrs, rates, pinned mask); `p`, `snrs` and
+    `rates` are updated in place.
     """
-    p = np.exp(log_p)
-    snrs = np.exp(log_p - log_inverse_gain(f, k, d, bandwidth, params))
-    rates = bandwidth * np.log1p(snrs) / _LN2
     pinned, _ = _pin_masks(d, k, req, bandwidth)
     pinned |= rates < req * (1.0 - 1e-12)
     if pinned.any():
@@ -358,7 +346,10 @@ def iterate_power_distance(
 ) -> IterState:
     """Run the smoothed distance-power fixed point to convergence.
 
-    Per iteration: freeze the absorption loss at the current distances, pick
+    One link budget per iterate: `log_inverse_gain` at the iterate's
+    distances gives its SNRs and rates and the next iteration's power
+    coefficients, and the rate-floor repair reuses the last one. Per
+    iteration: freeze the absorption loss at the current distances, pick
     each device's SNR target (stationary value, or the rate floor's SNR when
     the floor binds), solve the budget dual for the proposed distances,
     smooth, and recompute powers. Stops when the total transport capacity
@@ -367,24 +358,20 @@ def iterate_power_distance(
     split what the free devices leave of the budget in proportion to their
     powers and sit at `max_distance` (at least `config.d_min`), on their floors.
     """
-    f = np.asarray(frequencies, dtype=float)
-    k = np.asarray(k_abs, dtype=float)
-    req = np.asarray(rate_reqs, dtype=float)
-    n = len(f)
+    f, k, req = (np.asarray(a, dtype=float) for a in (frequencies, k_abs, rate_reqs))
     if np.any(req < 0):
         raise ValueError("rate requirements must be >= 0")
-    d = np.full(n, float(config.d_init)) if d0 is None else np.asarray(d0, dtype=float).copy()
+    d = np.full(len(f), float(config.d_init)) if d0 is None else np.asarray(d0, dtype=float).copy()
 
-    log_xi_req = np.where(req > 0, np.log(np.expm1(np.maximum(req, 1e-300) / bandwidth * _LN2)), -np.inf)
-    tc_prev = None
+    log_xi_req = np.where(req > 0, np.log(floor_snr(np.maximum(req, 1e-300), bandwidth)), -np.inf)
+    log_g = log_inverse_gain(f, k, d, bandwidth, params)
     tc_history: list[float] = []
-    alpha = config.alpha
     for it in range(1, config.max_inner + 1):
         pinned, xi_tilde = _pin_masks(d, k, req, bandwidth)
         xi = np.where(pinned, np.exp(log_xi_req), xi_tilde)
-        log_c = _log_power_coeff(np.log(xi), f, k, d, bandwidth, params)
+        log_c = np.log(xi) + log_g - 2.0 * np.log(d)  # p_k = c_k d_k^2 at frozen absorption
         d_hat, _nu = _dual_step(log_c, xi, params.p_total)
-        d_new = alpha * d + (1.0 - alpha) * d_hat
+        d_new = config.alpha * d + (1.0 - config.alpha) * d_hat
         log_p = log_c + 2.0 * np.log(d_new)
         # Smoothing can transiently overshoot the budget the dual enforced
         # for d_hat; scale the reported powers back onto it. The distance
@@ -392,36 +379,28 @@ def iterate_power_distance(
         total = np.exp(log_p).sum()
         if total > params.p_total:
             log_p += math.log(params.p_total / total)
-        # Actual SNR at the new distances and reported powers.
-        snr_act = np.exp(
-            log_p - log_inverse_gain(f, k, d_new, bandwidth, params)
-        )
-        rates = bandwidth * np.log1p(snr_act) / _LN2
-        tc = float((d_new * rates).sum())
-        tc_history.append(tc)
+        # The new iterate's one link budget: its SNRs and rates here, and
+        # the next iteration's power coefficients.
+        log_g = log_inverse_gain(f, k, d_new, bandwidth, params)
+        snrs = np.exp(log_p - log_g)
+        rates = shannon_rate(snrs, bandwidth)
         d = d_new
-        if tc_prev is not None:
-            tol = config.eps * max(1.0, abs(tc)) if config.eps_relative else config.eps
-            if abs(tc - tc_prev) <= tol:
-                break
-        tc_prev = tc
+        tc_history.append(float((d * rates).sum()))
+        tol = config.eps * max(1.0, abs(tc_history[-1])) if config.eps_relative else config.eps
+        if it > 1 and abs(tc_history[-1] - tc_history[-2]) <= tol:
+            break
     else:
-        raise ConvergenceError(
-            f"no convergence within {config.max_inner} inner iterations"
-        )
+        raise ConvergenceError(f"no convergence within {config.max_inner} inner iterations")
 
     d, p, snrs, rates, pinned = _enforce_rate_floors(
-        d, log_p, f, k, req, bandwidth, params, config.d_min
+        d, np.exp(log_p), snrs, rates, f, k, req, bandwidth, params, config.d_min
     )
-    regimes = [
-        Regime.DISTANCE_MAXIMIZED if flag else Regime.TC_MAXIMIZED for flag in pinned
-    ]
     return IterState(
         distances=d,
         powers=p,
         snrs=snrs,
         rates=rates,
-        regimes=regimes,
+        regimes=_regimes(pinned),
         tc=float((d * rates).sum()),
         iterations=it,
         tc_history=tc_history,

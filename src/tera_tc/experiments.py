@@ -25,16 +25,15 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .channel import absorption_loss, log_inverse_gain, spreading_loss
+from .channel import absorption_loss, log_inverse_gain, shannon_rate, spreading_loss
 from .distance_power import optimal_distance_pair
 from .scenario import ExperimentSpec, Scenario, scenario_to_dict
 from .strategies import FIXED_DISTANCE_STACKS, STRATEGIES, Allocation, DeviceSpec, audit_allocation
 from .units import dbm_to_watts
 
-_LN2 = math.log(2.0)
 
-
-def _summary_row(experiment: str, strategy: str, sweep_value, trial: int, alloc: Allocation | None, error: str = ""):
+def _summary_row(experiment: str, strategy: str, sweep_value, trial: int, outcome: Allocation | Exception):
+    """The summary row of one solve from its allocation or the exception it raised."""
     row = {
         "experiment": experiment,
         "strategy": strategy,
@@ -44,14 +43,16 @@ def _summary_row(experiment: str, strategy: str, sweep_value, trial: int, alloc:
         "sum_rate_bps": "",
         "power_used_w": "",
         "iterations": "",
-        "error": error,
+        "error": "",
     }
-    if alloc is not None:
+    if isinstance(outcome, Exception):
+        row["error"] = f"{type(outcome).__name__}: {outcome}"
+    else:
         row.update(
-            tc_m_bps=alloc.tc,
-            sum_rate_bps=alloc.sum_rate,
-            power_used_w=alloc.power_used,
-            iterations=alloc.iterations,
+            tc_m_bps=outcome.tc,
+            sum_rate_bps=outcome.sum_rate,
+            power_used_w=outcome.power_used,
+            iterations=outcome.iterations,
         )
     return row
 
@@ -81,18 +82,24 @@ def _device_rows(experiment: str, strategy: str, sweep_value, trial: int, scenar
     return rows
 
 
-def _run_strategy_job(job):
-    """One (strategy, scenario) work item; top-level so it pickles. Every
-    strategy audits its own allocation."""
-    experiment, strategy, sweep_value, trial, scenario = job
+def _solve(strategy: str, scenario: Scenario):
+    """`STRATEGIES[strategy]` on the scenario: its allocation, or the
+    exception it raised, which is recorded per row while the experiment
+    continues. Every strategy audits its own allocation."""
     try:
-        alloc = STRATEGIES[strategy](scenario)
-    except Exception as exc:  # recorded per row, sweep continues
-        return _summary_row(experiment, strategy, sweep_value, trial, None, f"{type(exc).__name__}: {exc}"), []
-    return (
-        _summary_row(experiment, strategy, sweep_value, trial, alloc),
-        _device_rows(experiment, strategy, sweep_value, trial, scenario, alloc),
-    )
+        return STRATEGIES[strategy](scenario)
+    except Exception as exc:
+        return exc
+
+
+def _run_strategy_job(job):
+    """One (strategy, scenario) work item; top-level so it pickles."""
+    experiment, strategy, sweep_value, trial, scenario = job
+    outcome = _solve(strategy, scenario)
+    row = _summary_row(experiment, strategy, sweep_value, trial, outcome)
+    if isinstance(outcome, Exception):
+        return row, []
+    return row, _device_rows(experiment, strategy, sweep_value, trial, scenario, outcome)
 
 
 #: Pool chunks per worker in `_map_jobs` (304 CDF blocks of up to 4 trials
@@ -117,7 +124,10 @@ def _map_jobs(fn, jobs, workers: int):
     return [fn(job) for job in jobs]
 
 
-def _run_jobs(jobs, workers: int = 1):
+def _run_sweep(spec: ExperimentSpec, scenarios, workers: int):
+    """Every strategy of `spec` on each (sweep value, scenario) pair, as
+    (summary rows, device rows)."""
+    jobs = [(spec.kind, s, value, 0, sc) for value, sc in scenarios for s in spec.strategies]
     results = _map_jobs(_run_strategy_job, jobs, workers)
     summary = [r[0] for r in results]
     devices = [row for r in results for row in r[1]]
@@ -129,12 +139,11 @@ _FLOOR_STRATEGIES = {"proposed", "distmax", "nonadaptive", "exhaustive"}
 
 def run_tc_vs_power(scenario: Scenario, spec: ExperimentSpec, workers: int = 1):
     """TC of the selected strategies over a total-power grid (dBm)."""
-    jobs = []
-    for p_dbm in spec.grid:
-        sc = replace(scenario, params=replace(scenario.params, p_total=float(dbm_to_watts(p_dbm))))
-        for strategy in spec.strategies:
-            jobs.append((spec.kind, strategy, p_dbm, 0, sc))
-    return _run_jobs(jobs, workers)
+    scenarios = [
+        (p_dbm, replace(scenario, params=replace(scenario.params, p_total=float(dbm_to_watts(p_dbm)))))
+        for p_dbm in spec.grid
+    ]
+    return _run_sweep(spec, scenarios, workers)
 
 
 def fig8_rate_tiers(n_devices: int, bandwidth: float) -> tuple[DeviceSpec, ...]:
@@ -146,13 +155,11 @@ def fig8_rate_tiers(n_devices: int, bandwidth: float) -> tuple[DeviceSpec, ...]:
 
 def run_tc_vs_devices(scenario: Scenario, spec: ExperimentSpec, workers: int = 1):
     """TC over the number of devices, with tiered rate floors."""
-    jobs = []
-    for k_count in spec.grid:
-        devices = fig8_rate_tiers(int(k_count), scenario.band.bandwidth)
-        sc = replace(scenario, devices=devices)
-        for strategy in spec.strategies:
-            jobs.append((spec.kind, strategy, k_count, 0, sc))
-    return _run_jobs(jobs, workers)
+    scenarios = [
+        (k_count, replace(scenario, devices=fig8_rate_tiers(int(k_count), scenario.band.bandwidth)))
+        for k_count in spec.grid
+    ]
+    return _run_sweep(spec, scenarios, workers)
 
 
 def sample_disk_distances(rng: np.random.Generator, n: int, radius: float, d_min: float) -> np.ndarray:
@@ -181,16 +188,9 @@ def _solve_stack(solve, scenario: Scenario, d: np.ndarray) -> list:
 
 
 def _solve_each(strategy: str, scenario: Scenario, d: np.ndarray) -> list:
-    """`STRATEGIES[strategy]` on one scenario per row of distances, each
-    trial's allocation or exception."""
-    out = []
-    for row in d.tolist():
-        devices = tuple(DeviceSpec(dev.rate_req, di) for dev, di in zip(scenario.devices, row))
-        try:
-            out.append(STRATEGIES[strategy](replace(scenario, devices=devices)))
-        except Exception as exc:  # recorded per row, the experiment continues
-            out.append(exc)
-    return out
+    """`_solve` on one scenario per row of distances."""
+    rows = (tuple(DeviceSpec(dev.rate_req, di) for dev, di in zip(scenario.devices, row)) for row in d.tolist())
+    return [_solve(strategy, replace(scenario, devices=devices)) for devices in rows]
 
 
 def _cdf_job(job):
@@ -210,12 +210,10 @@ def _cdf_job(job):
     else:
         outcomes = _solve_each(strategy, scenario, d)
     summary, rates = [], []
-    for trial, alloc in zip(trials, outcomes):
-        if isinstance(alloc, Exception):
-            summary.append(_summary_row(experiment, strategy, radius, trial, None, f"{type(alloc).__name__}: {alloc}"))
-        else:
-            summary.append(_summary_row(experiment, strategy, radius, trial, alloc))
-            rates.append(alloc.rates)
+    for trial, outcome in zip(trials, outcomes):
+        summary.append(_summary_row(experiment, strategy, radius, trial, outcome))
+        if not isinstance(outcome, Exception):
+            rates.append(outcome.rates)
     return summary, np.concatenate(rates) if rates else np.empty(0)
 
 
@@ -332,9 +330,9 @@ def link_curve(frequency: float, k_abs: float, bandwidth: float, params, distanc
     snr = np.exp(
         math.log(params.p_total) - log_inverse_gain(frequency, k_abs, d, bandwidth, params)
     )
-    rate = bandwidth * np.log1p(snr) / _LN2
+    rate = shannon_rate(snr, bandwidth)
     d_opt, xi_opt = optimal_distance_pair(params.p_total, frequency, k_abs, bandwidth, params)
-    rate_opt = bandwidth * math.log1p(xi_opt) / _LN2
+    rate_opt = float(shannon_rate(xi_opt, bandwidth))
     rows = [
         {
             "frequency_hz": frequency,

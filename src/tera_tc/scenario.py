@@ -59,6 +59,8 @@ class ExperimentSpec:
             raise ScenarioError("experiment.grid: must be non-empty, finite and sorted")
         if self.trials < 1:
             raise ScenarioError("experiment.trials: must be >= 1")
+        if self.seed < 0:
+            raise ScenarioError(f"experiment.seed: must be >= 0, got {self.seed}")
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ScenarioError(f"experiment.strategies: unknown strategy {s!r}")

@@ -27,7 +27,7 @@ from .assignment import (
     check_assignment,
     hungarian_assign,
 )
-from .channel import BandPlan, LinkParams, exp_inverse_gain, log_inverse_gain
+from .channel import BandPlan, LinkParams, exp_inverse_gain, floor_snr, log_inverse_gain, shannon_rate
 from .distance_power import (
     InfeasibleError,
     IterState,
@@ -38,8 +38,6 @@ from .distance_power import (
     iterate_power_distance,
 )
 from .waterfill import waterfill
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -119,9 +117,12 @@ class Allocation:
 def audit_allocation(
     alloc: Allocation, scenario: Scenario, check_rate_floors: bool
 ) -> None:
-    """Feasibility audit: assignment validity, power budget, distances of
-    at least `scenario.config.d_min`, rate floors."""
+    """Feasibility audit: assignment validity, finite values, power budget,
+    distances of at least `scenario.config.d_min`, rate floors."""
     check_assignment(alloc.subwindows, scenario.band.n)
+    finite = np.isfinite(alloc.powers) & np.isfinite(alloc.distances) & np.isfinite(alloc.rates)
+    if not finite.all():
+        raise InfeasibleError("non-finite power, distance or rate", np.flatnonzero(~finite))
     p_total = scenario.params.p_total
     if alloc.power_used > p_total * (1.0 + 1e-9):
         raise InfeasibleError(
@@ -159,7 +160,7 @@ def _rates_at(scenario: Scenario, log_ginv: np.ndarray, powers) -> np.ndarray:
     p = np.asarray(powers, dtype=float)[:, None]
     with np.errstate(over="ignore"):
         snr = np.where(p > 0, np.exp(np.log(np.maximum(p, 1e-300)) - log_ginv), 0.0)
-    return scenario.band.bandwidth * np.log1p(snr) / _LN2
+    return shannon_rate(snr, scenario.band.bandwidth)
 
 
 def _fixed_distance_stack(
@@ -184,7 +185,7 @@ def _fixed_distance_stack(
     ginv = exp_inverse_gain(log_ginv[np.arange(n_trials)[:, None], np.arange(n_dev), n_of_k])
     p = waterfill(distances if weighted else np.ones(distances.shape), ginv, p_total)
     snr = np.where(np.isfinite(ginv), p / ginv, 0.0)
-    rates = scenario.band.bandwidth * np.log1p(snr) / _LN2
+    rates = shannon_rate(snr, scenario.band.bandwidth)
     allocs = [
         Allocation(strategy=name, subwindows=n, powers=pw, distances=d, rates=r,
                    regimes=["fixed"] * n_dev)
@@ -224,6 +225,15 @@ def _alloc_from_state(
     )
 
 
+def _inner_solve(scenario: Scenario, n_of_k: np.ndarray, d0=None) -> IterState:
+    """`iterate_power_distance` on the subwindows of an assignment."""
+    band = scenario.band
+    return iterate_power_distance(
+        band.frequencies[n_of_k], band.k_abs[n_of_k], scenario.rate_reqs, band.bandwidth,
+        scenario.params, scenario.config, d0=d0,
+    )
+
+
 def proposed_tc_max(scenario: Scenario) -> Allocation:
     """Iterative TC maximization with variable distances.
 
@@ -232,8 +242,6 @@ def proposed_tc_max(scenario: Scenario) -> Allocation:
     fixed point. The best-TC iterate over all outer rounds is returned.
     """
     cfg = scenario.config
-    band = scenario.band
-    reqs = scenario.rate_reqs
     n_dev = scenario.n_devices
     d = np.full(n_dev, cfg.d_init)
     p = np.full(n_dev, scenario.params.p_total / n_dev)
@@ -242,15 +250,7 @@ def proposed_tc_max(scenario: Scenario) -> Allocation:
     for _ in range(cfg.m_out):
         payoff = d[:, None] * _rate_matrix(scenario, d, p)
         n_of_k = hungarian_assign(payoff)
-        state = iterate_power_distance(
-            band.frequencies[n_of_k],
-            band.k_abs[n_of_k],
-            reqs,
-            band.bandwidth,
-            scenario.params,
-            cfg,
-            d0=d,
-        )
+        state = _inner_solve(scenario, n_of_k, d0=d)
         total_inner += state.iterations
         if best is None or state.tc > best.tc:
             best = _alloc_from_state(scenario, "proposed", n_of_k, state, total_inner)
@@ -295,7 +295,7 @@ def distance_max_benchmark(scenario: Scenario) -> Allocation:
     f = band.frequencies[n_of_k]
     k = band.k_abs[n_of_k]
     w = band.bandwidth
-    log_xi_req = np.log(np.expm1(reqs / w * _LN2))
+    log_xi_req = np.log(floor_snr(reqs, w))
 
     # Log power that meets each floor at 1 m without absorption.
     base = log_xi_req + log_inverse_gain(f, 0.0, 1.0, w, params)
@@ -386,24 +386,15 @@ def non_adaptive_benchmark(scenario: Scenario) -> Allocation:
 def exhaustive_tc_max(scenario: Scenario) -> Allocation:
     """Oracle strategy: run the inner power-distance solver for every
     possible subwindow assignment and keep the best. Intended for K=N<=6."""
-    band = scenario.band
     cfg = scenario.config
-    reqs = scenario.rate_reqs
-    n_dev, n_sub = scenario.n_devices, band.n
+    n_dev, n_sub = scenario.n_devices, scenario.band.n
     count = math.perm(n_sub, n_dev)
     if count > cfg.enum_cap:
         raise EnumerationCapError(f"{count} assignments exceed the cap of {cfg.enum_cap}")
     best: Allocation | None = None
     for perm in itertools.permutations(range(n_sub), n_dev):
         n_of_k = np.array(perm, dtype=int)
-        state = iterate_power_distance(
-            band.frequencies[n_of_k],
-            band.k_abs[n_of_k],
-            reqs,
-            band.bandwidth,
-            scenario.params,
-            cfg,
-        )
+        state = _inner_solve(scenario, n_of_k)
         if best is None or state.tc > best.tc:
             best = _alloc_from_state(
                 scenario, "exhaustive", n_of_k, state, state.iterations

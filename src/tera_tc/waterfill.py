@@ -30,7 +30,8 @@ def waterfill(weights, inverse_gains, p_total: float) -> np.ndarray:
     those devices get exactly zero power. With the usable devices sorted by
     descending w/g, the prefix water levels are lam_m = sum_{i<=m} w_i /
     (p_total + sum_{i<=m} g_i); the active set is the longest prefix with
-    w_m/g_m > lam_m, and its lam_m is the exact water level.
+    w_m/g_m > lam_m, and its lam_m is the exact water level. A row whose
+    powers all round to 0 gives the budget to its first device in w/g order.
     """
     w = np.asarray(weights, dtype=float)
     g = np.asarray(inverse_gains, dtype=float)
@@ -52,7 +53,8 @@ def waterfill(weights, inverse_gains, p_total: float) -> np.ndarray:
     order = np.where(usable, -(w / g), np.inf).argsort(axis=-1, kind="stable")
     ws, gs = w[t, order], g[t, order]
     levels = ws.cumsum(axis=-1) / (p_total + gs.cumsum(axis=-1))
-    above = ws / gs > levels  # True for m = 0 since p_total > 0; False past the usable prefix
+    above = ws / gs > levels  # False past the usable prefix
+    above[:, 0] = True  # exact since p_total > 0, but p_total + g can round to g
     n_active = np.where(above.all(axis=-1), above.shape[-1], above.argmin(axis=-1))
     lam = levels[t, n_active[:, None] - 1]
     p = np.maximum(0.0, w / lam - g)  # exactly 0 where g is inf
@@ -61,5 +63,7 @@ def waterfill(weights, inverse_gains, p_total: float) -> np.ndarray:
         # The usable powers alone: the zeros between them would change the
         # pairwise summation's rounding.
         total[i] = p[i, usable[i]].sum()
+    flat = np.flatnonzero(total == 0)  # every p_total + g rounded to g
+    p[flat, order[flat, 0]] = total[flat] = p_total
     p *= (p_total / total)[:, None]
     return p.reshape(shape)

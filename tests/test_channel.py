@@ -16,12 +16,14 @@ from tera_tc.channel import (
     absorption_loss,
     bundled_absorption_table,
     channel_gain,
+    floor_snr,
     inverse_gain,
     log_inverse_gain,
     noise_power,
     path_loss_db,
     rate,
     rate_distance_product,
+    shannon_rate,
     snr,
     spreading_loss,
 )
@@ -158,6 +160,35 @@ class TestSnrRate:
         r1 = rate(Link(5e11, 0.2, 10.0, p, 1e9), params)
         r2 = rate(Link(5e11, 0.2, 10.0, 2.0 * p, 2e9), params)
         assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
+
+
+class TestRateFormulas:
+    """`shannon_rate` and `floor_snr` are the only copies of W log2(1 + snr)
+    and 2^(r/W) - 1; each must give the bits of the expression it replaced."""
+
+    LN2 = math.log(2.0)
+
+    @pytest.mark.parametrize("bandwidth", [1.0, 1e9, 3.7e10])
+    def test_bitwise_equal_to_inline_expressions(self, rng, bandwidth):
+        snr_ = 10.0 ** rng.uniform(-12, 12, 10_000)
+        assert np.array_equal(shannon_rate(snr_, bandwidth), bandwidth * np.log1p(snr_) / self.LN2)
+        r = rng.uniform(1e-6, 40.0, 10_000) * bandwidth
+        assert np.array_equal(floor_snr(r, bandwidth), np.expm1(r / bandwidth * self.LN2))
+
+    def test_spectral_efficiency_sites_keep_their_bits(self, rng):
+        xi = 10.0 ** rng.uniform(-12, 12, 10_000)
+        assert np.array_equal(shannon_rate(xi, 1.0), np.log1p(xi) / self.LN2)
+
+    def test_round_trip(self, rng):
+        bandwidth = 1e9
+        r = rng.uniform(1e-3, 40.0, 1000) * bandwidth
+        assert np.allclose(shannon_rate(floor_snr(r, bandwidth), bandwidth), r, rtol=1e-12, atol=0)
+        snr_ = 10.0 ** rng.uniform(-6, 6, 1000)
+        assert np.allclose(floor_snr(shannon_rate(snr_, bandwidth), bandwidth), snr_, rtol=1e-9, atol=0)
+
+    def test_rate_uses_shannon_rate(self, params):
+        link = Link(5e11, 0.2, 10.0, 0.01, 1e9)
+        assert rate(link, params) == shannon_rate(snr(link, params), 1e9)
 
 
 class TestRateDistanceProduct:

@@ -107,6 +107,15 @@ def test_run_rejects_parallel_outside_cpu_count(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+def test_run_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "out"
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(_doc_with_table("bundled")))
+    assert main(["run", "--spec", str(spec), "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: --seed: ")
+    assert not out.exists()
+
+
 def _doc_with_table(path):
     return {
         "band": {

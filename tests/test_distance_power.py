@@ -21,6 +21,7 @@ from tera_tc.distance_power import (
     stationarity_lhs,
     thm1_distance_update,
 )
+from tera_tc import distance_power as dp
 from tera_tc.scenario import uniform_band
 from tera_tc.units import dbm_to_watts
 from conftest import make_params
@@ -305,6 +306,22 @@ class TestIteratePowerDistance:
         )
         assert len(state.tc_history) == state.iterations
         assert state.tc_history[-1] > 0
+
+    def test_one_link_budget_per_iterate(self, params, monkeypatch):
+        # One budget at d0, one per iteration at its new distances, and the
+        # rate-floor repair reuses the last one when no floor binds.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return log_inverse_gain(*args)
+
+        monkeypatch.setattr(dp, "log_inverse_gain", counting)
+        f = np.array([5e11, 5.3e11, 5.8e11])
+        state = iterate_power_distance(f, np.array([0.05, 0.3, 0.08]), np.zeros(3), 1e9, params)
+        assert state.iterations > 1
+        assert all(r is Regime.TC_MAXIMIZED for r in state.regimes)
+        assert len(calls) == state.iterations + 1
 
 
 class TestClosedForms:

@@ -248,6 +248,7 @@ def test_device_count_bounded_before_expansion():
         ("experiment", {"strategies": ["proposed", 1]}, r"^experiment\.strategies: must be a list"),
         (None, {"devices": [1]}, r"^devices\[0\]: must be an object$"),
         (None, {"devices": [{"count": 2}, "x"]}, r"^devices\[1\]: must be an object$"),
+        ("experiment", {"seed": -3}, r"^experiment\.seed: "),
     ],
 )
 def test_wrong_typed_field_names_its_section(section, fields, pattern):

@@ -409,6 +409,17 @@ class TestScenarioAndAudit:
             audit_allocation(bad, sc, check_rate_floors=False)
         assert list(info.value.devices) == [1, 2]
 
+    @pytest.mark.parametrize("field", ["powers", "distances", "rates"])
+    def test_audit_names_devices_with_non_finite_values(self, field):
+        # NaN fails every < and > test, so it needs its own check.
+        sc = fixed_scenario([5.0, 9.0, 7.0], [0.1, 0.2, 0.3])
+        alloc = fixed_distance_tc_max(sc)
+        values = getattr(alloc, field).copy()
+        values[[0, 2]] = [math.nan, math.inf]
+        with pytest.raises(InfeasibleError, match="non-finite") as info:
+            audit_allocation(dataclasses.replace(alloc, **{field: values}), sc, check_rate_floors=False)
+        assert info.value.devices == (0, 2)
+
     @pytest.mark.parametrize("strategy", [distance_max_benchmark, proposed_tc_max])
     def test_floors_out_of_reach_raise_below_d_min(self, strategy):
         # Floors of 1-45 bps/Hz at -10 dBm: both strategies used to return

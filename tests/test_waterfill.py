@@ -1,5 +1,7 @@
 """Multilevel water-filling: budget, KKT structure, and oracle comparisons."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,23 @@ def test_dead_channel_gets_zero():
     p = waterfill([1.0, 5.0], [1e-3, np.inf], 0.2)
     assert p[1] == 0.0
     assert p[0] == pytest.approx(0.2, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "w, g",
+    [
+        ([1.0], [1e176]),
+        ([1.0, 2.0], [1e176, 3e176]),
+        ([[1.0, 2.0], [1.0, 1.0], [3.0, 1.0]], [[1e176, np.inf], [1.0, 2.0], [2e176, 1e175]]),
+    ],
+)
+def test_inverse_gains_that_dwarf_the_budget(w, g):
+    # p_total + g rounds to g: the budget still goes out, with no NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = waterfill(w, g, 1.0)
+    assert np.all(np.isfinite(p)) and np.all(p >= 0)
+    assert np.allclose(np.sum(p, axis=-1), 1.0, rtol=1e-15, atol=0)
 
 
 def test_three_device_simplex_oracle(rng):
