@@ -278,7 +278,14 @@ def thm1_distance_update(
     """
     d, xi, f, k = (np.asarray(a, dtype=float) for a in (distances, xi, frequencies, k_abs))
     log_c = np.log(xi) + log_inverse_gain(f, k, d, bandwidth, params) - 2.0 * np.log(d)
-    return _dual_step(log_c, xi, params.p_total, nu)
+    with np.errstate(over="ignore"):
+        return _dual_step(log_c, xi, params.p_total, nu)
+
+
+def _log_sum_exp(x) -> float:
+    """ln(sum(exp(x))) without underflow or overflow."""
+    top = x.max()
+    return top + math.log(np.exp(x - top).sum())
 
 
 def _dual_step(log_c, xi, p_total: float, nu: float | None = None):
@@ -286,7 +293,11 @@ def _dual_step(log_c, xi, p_total: float, nu: float | None = None):
     log_num = np.log(shannon_rate(xi, 1.0)) - math.log(2.0)  # ln(log2(1+xi)/2)
     if nu is None:
         # sum_k c_k (log2(1+xi_k)/(2 nu c_k))^2 = P_T  =>  nu^2 = sum/(P_T)
-        nu = math.sqrt(np.exp(2.0 * log_num - log_c).sum() / p_total)
+        nu_sq = np.exp(2.0 * log_num - log_c).sum() / p_total
+        if nu_sq == 0.0 or math.isinf(nu_sq):  # the plain sum under- or overflowed
+            log_nu = 0.5 * (_log_sum_exp(2.0 * log_num - log_c) - math.log(p_total))
+            return np.exp(log_num - log_c - log_nu), math.exp(log_nu)
+        nu = math.sqrt(nu_sq)
     return np.exp(log_num - log_c - math.log(nu)), nu
 
 
@@ -329,6 +340,11 @@ def _enforce_rate_floors(d, p, snrs, rates, f, k, req, bandwidth, params, d_min)
         if budget_pin <= 0:
             raise InfeasibleError("rate floors leave no power budget", np.flatnonzero(pinned))
         p[pinned] *= budget_pin / p[pinned].sum()
+        starved = np.flatnonzero(pinned & (p == 0.0))  # powers that underflowed
+        if starved.size:
+            raise InfeasibleError(
+                f"rate floor {req[starved[0]]:.3e} bps unreachable with a power that underflows to 0", starved
+            )
         d = d.copy()
         d[pinned], snrs[pinned] = _pin_to_floor(pinned, p, req, f, k, bandwidth, params, d_min)
         rates[pinned] = req[pinned]
@@ -366,31 +382,37 @@ def iterate_power_distance(
     log_xi_req = np.where(req > 0, np.log(floor_snr(np.maximum(req, 1e-300), bandwidth)), -np.inf)
     log_g = log_inverse_gain(f, k, d, bandwidth, params)
     tc_history: list[float] = []
-    for it in range(1, config.max_inner + 1):
-        pinned, xi_tilde = _pin_masks(d, k, req, bandwidth)
-        xi = np.where(pinned, np.exp(log_xi_req), xi_tilde)
-        log_c = np.log(xi) + log_g - 2.0 * np.log(d)  # p_k = c_k d_k^2 at frozen absorption
-        d_hat, _nu = _dual_step(log_c, xi, params.p_total)
-        d_new = config.alpha * d + (1.0 - config.alpha) * d_hat
-        log_p = log_c + 2.0 * np.log(d_new)
-        # Smoothing can transiently overshoot the budget the dual enforced
-        # for d_hat; scale the reported powers back onto it. The distance
-        # dynamics are unaffected and restore equality at the fixed point.
-        total = np.exp(log_p).sum()
-        if total > params.p_total:
-            log_p += math.log(params.p_total / total)
-        # The new iterate's one link budget: its SNRs and rates here, and
-        # the next iteration's power coefficients.
-        log_g = log_inverse_gain(f, k, d_new, bandwidth, params)
-        snrs = np.exp(log_p - log_g)
-        rates = shannon_rate(snrs, bandwidth)
-        d = d_new
-        tc_history.append(float((d * rates).sum()))
-        tol = config.eps * max(1.0, abs(tc_history[-1])) if config.eps_relative else config.eps
-        if it > 1 and abs(tc_history[-1] - tc_history[-2]) <= tol:
-            break
-    else:
-        raise ConvergenceError(f"no convergence within {config.max_inner} inner iterations")
+    # No overflow warnings: at an extreme budget a sum of powers that
+    # overflows, like a dual sum that under- or overflows, is taken again in
+    # log space, and every finite sum is used as before.
+    with np.errstate(over="ignore"):
+        for it in range(1, config.max_inner + 1):
+            pinned, xi_tilde = _pin_masks(d, k, req, bandwidth)
+            xi = np.where(pinned, np.exp(log_xi_req), xi_tilde)
+            log_c = np.log(xi) + log_g - 2.0 * np.log(d)  # p_k = c_k d_k^2 at frozen absorption
+            d_hat, _nu = _dual_step(log_c, xi, params.p_total)
+            d_new = config.alpha * d + (1.0 - config.alpha) * d_hat
+            log_p = log_c + 2.0 * np.log(d_new)
+            # Smoothing can transiently overshoot the budget the dual enforced
+            # for d_hat; scale the reported powers back onto it. The distance
+            # dynamics are unaffected and restore equality at the fixed point.
+            total = np.exp(log_p).sum()
+            if math.isinf(total):
+                log_p += math.log(params.p_total) - _log_sum_exp(log_p)
+            elif total > params.p_total:
+                log_p += math.log(params.p_total / total)
+            # The new iterate's one link budget: its SNRs and rates here, and
+            # the next iteration's power coefficients.
+            log_g = log_inverse_gain(f, k, d_new, bandwidth, params)
+            snrs = np.exp(log_p - log_g)
+            rates = shannon_rate(snrs, bandwidth)
+            d = d_new
+            tc_history.append(float((d * rates).sum()))
+            tol = config.eps * max(1.0, abs(tc_history[-1])) if config.eps_relative else config.eps
+            if it > 1 and abs(tc_history[-1] - tc_history[-2]) <= tol:
+                break
+        else:
+            raise ConvergenceError(f"no convergence within {config.max_inner} inner iterations")
 
     d, p, snrs, rates, pinned = _enforce_rate_floors(
         d, np.exp(log_p), snrs, rates, f, k, req, bandwidth, params, config.d_min

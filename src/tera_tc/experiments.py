@@ -1,7 +1,10 @@
 """Experiment drivers: parameter sweeps, Monte Carlo CDFs, and CSV output.
 
 Every runner returns plain row dictionaries so results can be written as
-CSV (`write_results`) or inspected in memory. Sweep points, and blocks of
+CSV (`write_results`) or inspected in memory. `run_experiment` writes
+every file through `write_results` except `cdf.csv`, which it writes
+straight from the sorted per-(radius, strategy) rate arrays (`_write_cdf`)
+with the same bytes and no row dictionaries. Sweep points, and blocks of
 Monte Carlo trials that share a (radius, strategy), are independent jobs;
 the fixed-distance strategies solve a whole block in one stacked pass.
 With `workers > 1` the jobs run in a process pool, in
@@ -13,6 +16,7 @@ positions, so output files are byte-identical for any worker count.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -21,6 +25,7 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -217,16 +222,12 @@ def _cdf_job(job):
     return summary, np.concatenate(rates) if rates else np.empty(0)
 
 
-def run_cdf_fixed_distance(scenario: Scenario, spec: ExperimentSpec, workers: int = 1):
-    """Monte Carlo fixed-distance experiment: device locations are drawn
-    uniformly over a disk per trial, rates are pooled over devices and
-    trials jointly, and empirical CDF points are emitted per (radius,
-    strategy).
+def _cdf_groups(scenario: Scenario, spec: ExperimentSpec, workers: int):
+    """The CDF experiment's summary rows and its pooled rates: one
+    ((radius, strategy), sorted rates) pair per group, in sorted order.
 
     One job solves a block of trials of one (radius, strategy); the
     fixed-distance strategies solve a block in one stacked pass.
-
-    Returns (summary_rows, cdf_rows).
     """
     strategies = spec.strategies or ("tc_fixed", "sum_rate")
     block = max(1, _BLOCK_ELEMS // (scenario.n_devices * scenario.band.n))
@@ -243,21 +244,58 @@ def run_cdf_fixed_distance(scenario: Scenario, spec: ExperimentSpec, workers: in
     pooled: dict[tuple[float, str], list[np.ndarray]] = {}
     for job, (_, rates) in zip(jobs, results):
         pooled.setdefault((job[2], job[1]), []).append(rates)
-    cdf_rows = []
-    for (radius, strategy), rates in sorted(pooled.items()):
-        rates = np.sort(np.concatenate(rates))
-        m = len(rates)
-        cdf_rows += [
-            {
-                "experiment": spec.kind,
-                "strategy": strategy,
-                "radius_m": radius,
-                "rate_bps": r,
-                "cdf": c,
-            }
-            for r, c in zip(rates.tolist(), (np.arange(1, m + 1) / m).tolist())
-        ]
+    return summary, [(key, np.sort(np.concatenate(rates))) for key, rates in sorted(pooled.items())]
+
+
+#: Columns of `cdf.csv`, the keys of `run_cdf_fixed_distance`'s CDF rows.
+_CDF_COLUMNS = ("experiment", "strategy", "radius_m", "rate_bps", "cdf")
+
+
+def _cdf_levels(m: int) -> list[float]:
+    """The empirical CDF of m sorted samples: (i + 1) / m."""
+    return (np.arange(1, m + 1) / m).tolist()
+
+
+def run_cdf_fixed_distance(scenario: Scenario, spec: ExperimentSpec, workers: int = 1):
+    """Monte Carlo fixed-distance experiment: device locations are drawn
+    uniformly over a disk per trial, rates are pooled over devices and
+    trials jointly, and empirical CDF points are emitted per (radius,
+    strategy).
+
+    Returns (summary_rows, cdf_rows); `run_experiment` writes the same
+    rows to `cdf.csv` from the sorted rates without building them.
+    """
+    summary, groups = _cdf_groups(scenario, spec, workers)
+    cdf_rows = [
+        dict(zip(_CDF_COLUMNS, (spec.kind, strategy, radius, r, c)))
+        for (radius, strategy), rates in groups
+        for r, c in zip(rates.tolist(), _cdf_levels(len(rates)))
+    ]
     return summary, cdf_rows
+
+
+def _write_cdf(kind: str, groups, path) -> None:
+    """`write_results` of `run_cdf_fixed_distance`'s CDF rows, byte for
+    byte, from the sorted rates of each group.
+
+    A group's `experiment,strategy,radius_m,` prefix is formatted once by
+    `csv.writer`, each rate by `float.__repr__` (the `str` that
+    `csv.writer` writes for a float), and the CDF column once per distinct
+    group size. An empty group writes no row.
+    """
+    levels: dict[int, list[str]] = {}
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(_CDF_COLUMNS)
+        for (radius, strategy), rates in groups:
+            m = len(rates)
+            if m not in levels:
+                levels[m] = [f",{c!r}\n" for c in _cdf_levels(m)]
+            head = io.StringIO()
+            csv.writer(head, lineterminator="\n").writerow((kind, strategy, radius))
+            prefix = head.getvalue()[:-1] + ","
+            lines = map(operator.add, map(float.__repr__, rates.tolist()), levels[m])
+            while block := list(itertools.islice(lines, _WRITE_BLOCK)):
+                fh.write(prefix + prefix.join(block))
 
 
 def run_loss_distance_vs_frequency(scenario: Scenario, spec: ExperimentSpec, workers: int = 1):
@@ -376,16 +414,19 @@ DETAIL_FILENAMES = {
 }
 
 
-#: Rows formatted at a time by `write_results`. Small blocks keep each
-#: block's text (~20 kB for `cdf.csv`) in heap memory that the next block
-#: reuses; 4096-row blocks (300 kB strings) fragmented the heap, and the
-#: peak RSS of a process that repeats a CDF experiment grew ~2 MB with
-#: each repetition.
+#: Rows formatted at a time by `write_results` and `_write_cdf`. Small
+#: blocks keep each block's text (~20 kB for `cdf.csv`) in heap memory that
+#: the next block reuses; 4096-row blocks (300 kB strings) fragmented the
+#: heap, and the peak RSS of a process that repeats a CDF experiment grew
+#: ~2 MB with each repetition.
 _WRITE_BLOCK = 256
 
 
 def write_results(rows, path) -> None:
     """Write row dictionaries as CSV, columns in the first row's key order.
+
+    `run_experiment` writes every file through it except `cdf.csv`, which
+    `_write_cdf` formats from arrays with the same bytes.
 
     Every row must have exactly the first row's keys (`ValueError` names
     the first that does not). An empty `rows` writes an empty file. The
@@ -456,17 +497,22 @@ def run_experiment(scenario: Scenario, spec: ExperimentSpec, out_dir, workers: i
     """Dispatch on the experiment kind and write summary/detail CSVs plus a
     metadata JSON into `out_dir`. Returns {filename: path}."""
     os.makedirs(out_dir, exist_ok=True)
-    runner = RUNNERS[spec.kind]
-    summary, detail = runner(scenario, spec, workers)
+    if spec.kind == "cdf_fixed_distance":
+        # cdf.csv straight from the sorted rates, with no row dicts.
+        summary, groups = _cdf_groups(scenario, spec, workers)
+        write_detail = partial(_write_cdf, spec.kind, groups) if any(len(r) for _, r in groups) else None
+    else:
+        summary, detail = RUNNERS[spec.kind](scenario, spec, workers)
+        write_detail = partial(write_results, detail) if detail else None
     written = {}
     if summary:
         path = os.path.join(out_dir, "summary.csv")
         write_results(summary, path)
         written["summary.csv"] = path
     detail_name = DETAIL_FILENAMES.get(spec.kind, "devices.csv")
-    if detail:
+    if write_detail is not None:
         path = os.path.join(out_dir, detail_name)
-        write_results(detail, path)
+        write_detail(path)
         written[detail_name] = path
     meta = {
         "version": __version__,

@@ -33,6 +33,7 @@ from .distance_power import (
     IterState,
     Regime,
     SolverConfig,
+    _log_sum_exp,
     _newton_descent,
     classify_regime,
     iterate_power_distance,
@@ -316,9 +317,7 @@ def distance_max_benchmark(scenario: Scenario) -> Allocation:
         return np.exp(_newton_descent(g, t0, "distance-maximization"))
 
     def log_power_gap(log_nu: float) -> float:
-        log_p = log_powers(distances_for_nu(log_nu))
-        top = log_p.max()  # ln sum(p) without underflow or overflow
-        return top + math.log(np.exp(log_p - top).sum()) - math.log(params.p_total)
+        return _log_sum_exp(log_powers(distances_for_nu(log_nu))) - math.log(params.p_total)
 
     lo, hi = 0.0, 0.0  # total power is strictly decreasing in nu
     while log_power_gap(lo) < 0:

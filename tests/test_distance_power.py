@@ -1,6 +1,7 @@
 """Variable-distance core: stationarity solve, regimes, fixed-point loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,32 @@ class TestThm1Update:
         )
         assert (c_coef * d_hat**2).sum() == pytest.approx(params.p_total, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "f, k_abs, overrides",
+        [(5e11, 100.0, {}), (1e3, 0.0, {"gt_linear": 1e8, "gr_linear": 1e8, "n0": 1e-300})],
+        ids=["sum_underflows", "sum_overflows"],
+    )
+    def test_budget_dual_in_log_space(self, f, k_abs, overrides):
+        # Deep in absorption (k d = 800) every term of the dual sum underflows
+        # to 0; at a 1 kHz carrier with a 1e-307 noise-to-gain ratio every
+        # term overflows. Either way nu is finite and > 0 and the implied
+        # powers still sum to the budget.
+        params = make_params(30.0, **overrides)
+        d = np.full(3, 8.0)
+        xi = np.array([1.0, 3.0, 10.0])
+        f = np.full(3, f)
+        k = np.full(3, k_abs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d_hat, nu = thm1_distance_update(d, xi, f, k, 1e9, params)
+            again, _ = thm1_distance_update(d, xi, f, k, 1e9, params, nu=nu)
+        assert 0.0 < nu < math.inf
+        assert np.all(np.isfinite(d_hat)) and np.all(d_hat > 0)
+        np.testing.assert_allclose(again, d_hat, rtol=1e-12)
+        log_c = np.log(xi) + log_inverse_gain(f, k, d, 1e9, params) - 2.0 * np.log(d)
+        log_p = log_c + 2.0 * np.log(d_hat)
+        top = log_p.max()
+        assert top + math.log(np.exp(log_p - top).sum()) == pytest.approx(math.log(params.p_total), rel=1e-12)
 
 class TestIteratePowerDistance:
     def test_symmetric_devices_identical(self, params):

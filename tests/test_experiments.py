@@ -420,3 +420,76 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("frequency_hz")
         assert len(lines) == 52  # header + 50 grid rows + optimum row
+
+
+class TestCdfFile:
+    """`run_experiment` writes `cdf.csv` from the sorted rates; its bytes
+    are `csv.DictWriter`'s over `run_cdf_fixed_distance`'s rows."""
+
+    @staticmethod
+    def run_both(sc, spec, out):
+        _, rows = run_cdf_fixed_distance(sc, spec)
+        written = run_experiment(sc, spec, out)
+        return rows, written
+
+    def assert_same_bytes(self, rows, written):
+        with open(written["cdf.csv"], newline="") as fh:
+            assert fh.read() == TestWriteAndRun.dict_writer_text(rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_file_matches_dict_writer_over_rows(self, tmp_path_factory, data):
+        n = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, n))
+        block = data.draw(st.integers(1, 4))
+        radii = sorted(data.draw(st.lists(
+            st.integers(1, 60) | st.floats(0.5, 60.0), min_size=1, max_size=3
+        )))
+        spec = ExperimentSpec(
+            kind="cdf_fixed_distance",
+            grid=tuple(radii),
+            trials=data.draw(st.integers(1, 9)),
+            seed=data.draw(st.integers(0, 2**16)),
+            strategies=data.draw(st.sampled_from([("tc_fixed",), ("sum_rate",), ("tc_fixed", "sum_rate")])),
+        )
+        sc = small_scenario(n=n, fixed=[1.0] * k)
+        with pytest.MonkeyPatch.context() as mp:
+            # Blocks of 1-4 trials, so that the last block is often partial.
+            mp.setattr(experiments, "_BLOCK_ELEMS", block * k * n)
+            rows, written = self.run_both(sc, spec, tmp_path_factory.mktemp("cdf"))
+        assert rows
+        self.assert_same_bytes(rows, written)
+
+    def test_group_whose_every_trial_fails_writes_no_rows(self, tmp_path):
+        # One device on four subwindows: a drop past ~14 km kills its every
+        # channel. At 1000 km every trial fails, at 30 km some do.
+        sc = small_scenario(n=4, fixed=[1.0])
+        spec = ExperimentSpec(
+            kind="cdf_fixed_distance", grid=(5.0, 3e4, 1e6), trials=12, seed=5, strategies=("tc_fixed",)
+        )
+        rows, written = self.run_both(sc, spec, tmp_path)
+        self.assert_same_bytes(rows, written)
+        sizes = {r: sum(row["radius_m"] == r for row in rows) for r in spec.grid}
+        assert sizes[5.0] == 12
+        assert 0 < sizes[3e4] < 12
+        assert sizes[1e6] == 0
+
+    def test_no_rows_writes_no_file(self, tmp_path):
+        sc = small_scenario(n=4, fixed=[1.0])
+        spec = ExperimentSpec(
+            kind="cdf_fixed_distance", grid=(1e6,), trials=3, strategies=("tc_fixed",)
+        )
+        rows, written = self.run_both(sc, spec, tmp_path)
+        assert rows == []
+        assert set(written) == {"summary.csv", "meta.json"}
+        assert not (tmp_path / "cdf.csv").exists()
+
+    def test_int_radius_is_written_as_str_does(self, tmp_path):
+        sc = small_scenario(n=4, fixed=[1.0] * 4)
+        spec = ExperimentSpec(kind="cdf_fixed_distance", grid=(5,), trials=2, strategies=("tc_fixed",))
+        rows, written = self.run_both(sc, spec, tmp_path)
+        self.assert_same_bytes(rows, written)
+        lines = (tmp_path / "cdf.csv").read_text().splitlines()
+        assert lines[0] == "experiment,strategy,radius_m,rate_bps,cdf"
+        assert all(line.startswith("cdf_fixed_distance,tc_fixed,5,") for line in lines[1:])
+        assert len(lines) == 1 + len(rows) == 9

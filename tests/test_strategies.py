@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from tera_tc.channel import (
     inverse_gain,
     rate,
 )
-from tera_tc.distance_power import InfeasibleError, SolverConfig, iterate_power_distance
+from tera_tc.distance_power import ConvergenceError, InfeasibleError, SolverConfig, iterate_power_distance
 from tera_tc.scenario import default_scenario, uniform_band
 from tera_tc.strategies import (
     FIXED_DISTANCE_STACKS,
@@ -463,3 +464,25 @@ class TestScenarioAndAudit:
 def test_device_spec_rejects_non_finite(fields):
     with pytest.raises(ValueError, match="finite"):
         DeviceSpec(**fields)
+
+
+@pytest.mark.parametrize("p_dbm", [90.0, 100.0, 110.0])
+@pytest.mark.parametrize("name, n", [("proposed", 100), ("exhaustive", 4)])
+def test_extreme_budget_is_typed_or_audited(name, n, p_dbm):
+    # Up here the smoothed loop's power sum overflows, its dual sum
+    # underflows and pinned powers underflow to 0: none of that may surface
+    # as a numpy warning or a math domain error.
+    sc, _ = default_scenario()
+    sc = Scenario(
+        band=BandPlan(sc.band.subwindows[:n]),
+        params=dataclasses.replace(sc.params, p_total=float(dbm_to_watts(p_dbm))),
+        devices=sc.devices[:n],
+        config=sc.config,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            alloc = STRATEGIES[name](sc)
+        except (ConvergenceError, InfeasibleError):
+            return
+        audit_allocation(alloc, sc, check_rate_floors=True)
