@@ -22,7 +22,6 @@ import json
 import math
 import operator
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -274,6 +273,13 @@ def run_cdf_fixed_distance(scenario: Scenario, spec: ExperimentSpec, workers: in
     return summary, cdf_rows
 
 
+#: Rows formatted at a time by `_write_cdf`. A 256-row block's text
+#: (~20 kB) reuses the heap memory of the block before; 4096-row blocks
+#: (300 kB strings) fragmented the heap, and the peak RSS of a process that
+#: repeats a CDF experiment grew ~2 MB with each repetition.
+_WRITE_BLOCK = 256
+
+
 def _write_cdf(kind: str, groups, path) -> None:
     """`write_results` of `run_cdf_fixed_distance`'s CDF rows, byte for
     byte, from the sorted rates of each group.
@@ -414,83 +420,27 @@ DETAIL_FILENAMES = {
 }
 
 
-#: Rows formatted at a time by `write_results` and `_write_cdf`. Small
-#: blocks keep each block's text (~20 kB for `cdf.csv`) in heap memory that
-#: the next block reuses; 4096-row blocks (300 kB strings) fragmented the
-#: heap, and the peak RSS of a process that repeats a CDF experiment grew
-#: ~2 MB with each repetition.
-_WRITE_BLOCK = 256
-
-
 def write_results(rows, path) -> None:
     """Write row dictionaries as CSV, columns in the first row's key order.
 
     `run_experiment` writes every file through it except `cdf.csv`, which
     `_write_cdf` formats from arrays with the same bytes.
 
-    Every row must have exactly the first row's keys (`ValueError` names
-    the first that does not). An empty `rows` writes an empty file. The
-    bytes are those of `csv.writer` (minimal quoting, "\n" line ends); a
-    block of rows whose values `_plain_block` cannot format goes through
-    `csv.writer` itself.
+    Every row must have exactly the first row's keys; `ValueError` names
+    the first that does not, before the file is opened. An empty `rows`
+    writes an empty file. The bytes are those of `csv.writer` (minimal
+    quoting, "\n" line ends).
     """
     rows = list(rows)
     fieldnames = list(rows[0]) if rows else []
-    values = _row_values(rows, fieldnames)
+    for i, row in enumerate(rows):
+        if row.keys() != rows[0].keys():
+            raise ValueError(f"row {i} has keys {list(row)}, the header {fieldnames}")
     with open(path, "w", newline="") as fh:
         if rows:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(fieldnames)
-            while block := list(itertools.islice(values, _WRITE_BLOCK)):
-                text = _plain_block(block)
-                if text is None:
-                    writer.writerows(block)
-                else:
-                    fh.write(text)
-
-
-def _plain_block(block):
-    """The CSV text of a block of value rows, formatted column by column
-    with `str`, or None where `csv.writer` would write a value otherwise.
-
-    `csv.writer` writes `str(value)`, except for None (an empty field) and
-    strings (their characters, also for a `str` subclass), and it quotes a
-    field holding a comma, a quote or a line break, and an empty field that
-    is a row's only one.
-    """
-    columns = []
-    for column in zip(*block):
-        types = set(map(type, column))
-        if type(None) in types or any(t is not str and issubclass(t, str) for t in types):
-            return None
-        text = list(map(str, column))
-        joined = "".join(text)
-        if "," in joined or '"' in joined or "\r" in joined or "\n" in joined:
-            return None
-        columns.append(text)
-    if len(columns) == 1 and "" in columns[0]:
-        return None
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
-
-
-def _row_values(rows, fieldnames):
-    """Each row's values in `fieldnames` order, as an iterator, so that a
-    large file's values are never held next to its rows.
-
-    Every row is checked before any byte is written: equal key counts and
-    no missing key mean equal key sets.
-    """
-    if not rows:
-        return iter(())
-    get = operator.itemgetter(*fieldnames)
-    try:
-        if set(map(len, rows)) == {len(fieldnames)}:
-            deque(map(get, rows), maxlen=0)  # KeyError on a missing key
-            return map(get, rows) if len(fieldnames) > 1 else ([get(row)] for row in rows)
-    except KeyError:
-        pass
-    i = next(i for i, row in enumerate(rows) if row.keys() != rows[0].keys())
-    raise ValueError(f"row {i} has keys {list(rows[i])}, the header {fieldnames}")
+            writer.writerows([row[key] for key in fieldnames] for row in rows)
 
 
 def run_experiment(scenario: Scenario, spec: ExperimentSpec, out_dir, workers: int = 1) -> dict:

@@ -9,6 +9,7 @@ emits the canonical linear form, so a save/load round trip is bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -34,6 +35,18 @@ class ScenarioError(ValueError):
     """Malformed scenario file; the message names the offending field."""
 
 
+#: What `grid` holds for each swept kind, and the test each point must
+#: pass; the other kinds' placeholder grids are not read.
+_DBM_POWERS = ("total powers in dBm, finite and > 0 in W", lambda x: 0 < dbm_to_watts(x) < math.inf)
+_GRID_POINTS = {
+    "tc_vs_power": _DBM_POWERS,
+    "exhaustive_validation": _DBM_POWERS,
+    "tc_vs_devices": ("whole device counts >= 1", lambda x: x >= 1 and float(x).is_integer()),
+    "cdf_fixed_distance": ("cell radii in m, > 0", lambda x: x > 0),
+    "single_link_curve": ("distances in m, > 0", lambda x: x > 0),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """What to sweep and how often.
@@ -42,7 +55,7 @@ class ExperimentSpec:
     (tc_vs_power, exhaustive_validation), device counts (tc_vs_devices),
     cell radii in m (cdf_fixed_distance), distances in m
     (single_link_curve); kinds without a sweep use a single placeholder
-    point.
+    point. `_GRID_POINTS` holds the check on each swept kind's points.
     """
 
     kind: str
@@ -57,6 +70,11 @@ class ExperimentSpec:
         grid = list(self.grid)
         if not grid or not np.all(np.isfinite(grid)) or grid != sorted(grid):
             raise ScenarioError("experiment.grid: must be non-empty, finite and sorted")
+        if self.kind in _GRID_POINTS:
+            what, ok = _GRID_POINTS[self.kind]
+            bad = [x for x in grid if not ok(x)]
+            if bad:
+                raise ScenarioError(f"experiment.grid: {self.kind} takes {what}, got {bad[0]!r}")
         if self.trials < 1:
             raise ScenarioError("experiment.trials: must be >= 1")
         if self.seed < 0:
@@ -222,6 +240,8 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, ExperimentSpec]:
         scenario = Scenario(band=band, params=params, devices=devices, config=config)
         section = "experiment"
         experiment = _parse_experiment(doc.get("experiment", {"kind": "tc_vs_power", "grid": [30.0]}))
+        if experiment.kind == "tc_vs_devices" and experiment.grid[-1] > band.n:
+            raise ScenarioError(f"experiment.grid: {experiment.grid[-1]:g} devices exceed {band.n} subwindows")
     except ScenarioError:
         raise
     except (TypeError, ValueError, AttributeError) as exc:

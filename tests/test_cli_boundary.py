@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import warnings
+from importlib import resources
 
 import pytest
 
@@ -148,3 +149,33 @@ def test_validate_exits_2_on_missing_absorption_table(tmp_path, capsys):
     assert main(["validate", "--spec", str(spec)]) == 2
     err = capsys.readouterr().err
     assert "band" in err and str(missing) in err
+
+
+def _default_doc():
+    path = resources.files("tera_tc").joinpath("data/default_scenario.json")
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "kind, grid",
+    [
+        ("tc_vs_devices", [150]),  # more devices than the 100 subwindows
+        ("tc_vs_devices", [0]),
+        ("tc_vs_devices", [2.5]),
+        ("single_link_curve", [-1, 1]),
+        ("cdf_fixed_distance", [-5]),
+        ("tc_vs_power", [20, 1e4]),  # 1e4 dBm is past the float range in W
+    ],
+    ids=["count_over_band", "count_0", "count_2.5", "distance_-1", "radius_-5", "dbm_1e4"],
+)
+def test_bad_experiment_grid_exits_2_in_validate_and_run(tmp_path, capsys, kind, grid):
+    doc = _default_doc()
+    doc["experiment"].update(kind=kind, grid=grid)
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["validate", "--spec", str(spec)]) == 2
+    assert "experiment.grid" in capsys.readouterr().err
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 2
+    assert "experiment.grid" in capsys.readouterr().err
+    assert not out.exists()

@@ -300,6 +300,14 @@ class TestWriteAndRun:
         with pytest.raises(ValueError, match="^row 2 "):
             write_results(rows, tmp_path / "out.csv")
 
+    def test_write_results_rejected_rows_leave_no_file(self, tmp_path):
+        # Every row is checked before the file is opened.
+        rows = [{"a": 1, "b": "x"}] * 300 + [{"a": 2, "c": "y"}]
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="^row 300 "):
+            write_results(rows, path)
+        assert not path.exists()
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_write_results_matches_dict_writer_in_every_block(self, tmp_path_factory, data):
