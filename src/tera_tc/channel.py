@@ -256,6 +256,8 @@ class AbsorptionTable:
         k = np.asarray(self.k_abs, dtype=float)
         if f.ndim != 1 or f.size < 2 or f.shape != k.shape:
             raise DomainError("absorption table needs matching 1-D frequency/k_abs columns")
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(k))):
+            raise DomainError("absorption table values must be finite")
         if np.any(f <= 0) or np.any(np.diff(f) <= 0):
             raise DomainError("absorption table frequencies must be positive and ascending")
         if np.any(k < 0):

@@ -1,16 +1,20 @@
 """Experiment drivers: parameter sweeps, Monte Carlo CDFs, and CSV output.
 
 Every runner returns plain row dictionaries so results can be written as
-CSV (`write_results`) or inspected in memory. `run_experiment` writes
-every file through `write_results` except `cdf.csv`, which it writes
-straight from the sorted per-(radius, strategy) rate arrays (`_write_cdf`)
-with the same bytes and no row dictionaries. Sweep points, and blocks of
-Monte Carlo trials that share a (radius, strategy), are independent jobs;
-the fixed-distance strategies solve a whole block in one stacked pass.
-With `workers > 1` the jobs run in a process pool, in
-`_CHUNKS_PER_WORKER` chunks per worker, and are merged back in
-deterministic (sweep, trial) order. Each trial draws its own device
-positions, so output files are byte-identical for any worker count.
+CSV (`write_results`) or inspected in memory. Every call of a strategy in
+`STRATEGIES` goes through `_solve`, which turns an exception into the
+error column of its summary row, so one failing strategy does not stop an
+experiment; the CDF's stacked fixed-distance kernels record theirs the
+same way in `_solve_stack`. `run_experiment` writes every file through
+`write_results` except `cdf.csv`, which it writes straight from the sorted
+per-(radius, strategy) rate arrays (`_write_cdf`) with the same bytes and
+no row dictionaries. Sweep points, and blocks of Monte Carlo trials that
+share a (radius, strategy), are independent jobs; the fixed-distance
+strategies solve a whole block in one stacked pass. With `workers > 1`
+the jobs run in a process pool, in `_CHUNKS_PER_WORKER` chunks per
+worker, and are merged back in deterministic (sweep, trial) order. Each
+trial draws its own device positions, so output files are byte-identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from . import __version__
 from .channel import absorption_loss, log_inverse_gain, shannon_rate, spreading_loss
 from .distance_power import optimal_distance_pair
 from .scenario import ExperimentSpec, Scenario, scenario_to_dict
-from .strategies import FIXED_DISTANCE_STACKS, STRATEGIES, Allocation, DeviceSpec, audit_allocation
+from .strategies import FIXED_DISTANCE_STACKS, STRATEGIES, Allocation, DeviceSpec
+from .strategies import audit_allocation  # noqa: F401 -- perfbench/tracer.py patches this name here
 from .units import dbm_to_watts
 
 
@@ -136,9 +141,6 @@ def _run_sweep(spec: ExperimentSpec, scenarios, workers: int):
     summary = [r[0] for r in results]
     devices = [row for r in results for row in r[1]]
     return summary, devices
-
-
-_FLOOR_STRATEGIES = {"proposed", "distmax", "nonadaptive", "exhaustive"}
 
 
 def run_tc_vs_power(scenario: Scenario, spec: ExperimentSpec, workers: int = 1):
@@ -304,58 +306,41 @@ def _write_cdf(kind: str, groups, path) -> None:
                 fh.write(prefix + prefix.join(block))
 
 
+#: Device-row columns that lead each subwindow row, in its column order.
+_SUBWINDOW_KEYS = ("experiment", "strategy", "subwindow", "frequency_hz", "k_abs_per_m", "device", "distance_m")
+
+
 def run_loss_distance_vs_frequency(scenario: Scenario, spec: ExperimentSpec, workers: int = 1):
-    """Per-subwindow losses and the distance allocated by the proposed
-    strategy; the path loss column excludes antenna gains."""
+    """Per-subwindow losses and the distance allocated by one strategy
+    (`proposed` unless the spec names one), in subwindow order; the path
+    loss column excludes antenna gains."""
     strategy = spec.strategies[0] if spec.strategies else "proposed"
-    alloc = STRATEGIES[strategy](scenario)
-    audit_allocation(alloc, scenario, check_rate_floors=strategy in _FLOOR_STRATEGIES)
-    band = scenario.band
+    summary, devices = _run_sweep(replace(spec, strategies=(strategy,)), [(0.0, scenario)], workers)
     rows = []
-    for k in np.argsort(alloc.subwindows):
-        n = int(alloc.subwindows[k])
-        f = band.frequencies[n]
-        ka = band.k_abs[n]
-        d = alloc.distances[k]
-        spread = float(spreading_loss(f, d, scenario.params.c))
-        absorb = float(absorption_loss(ka, d))
+    for dev in sorted(devices, key=operator.itemgetter("subwindow")):
+        d = dev["distance_m"]
+        spread = float(spreading_loss(dev["frequency_hz"], d, scenario.params.c))
+        absorb = float(absorption_loss(dev["k_abs_per_m"], d))
         rows.append(
             {
-                "experiment": spec.kind,
-                "strategy": strategy,
-                "subwindow": n,
-                "frequency_hz": f,
-                "k_abs_per_m": ka,
-                "device": int(k),
-                "distance_m": d,
+                **{key: dev[key] for key in _SUBWINDOW_KEYS},
                 "spreading_loss_db": -10.0 * math.log10(spread),
                 "absorption_loss_db": -10.0 * math.log10(absorb),
                 "path_loss_db": -10.0 * math.log10(spread * absorb),
-                "rate_bps": alloc.rates[k],
+                "rate_bps": dev["rate_bps"],
             }
         )
-    return [_summary_row(spec.kind, strategy, 0.0, 0, alloc)], rows
+    return summary, rows
+
+
+#: Device-row columns of the rate-distance scatter, in its column order.
+_SCATTER_KEYS = ("experiment", "strategy", "device", "rate_req_bps", "distance_m", "rate_bps")
 
 
 def run_rate_distance_tradeoff(scenario: Scenario, spec: ExperimentSpec, workers: int = 1):
     """(distance, rate) scatter per strategy for the rate-distance trade-off."""
-    summary, scatter = [], []
-    for strategy in spec.strategies:
-        alloc = STRATEGIES[strategy](scenario)
-        audit_allocation(alloc, scenario, check_rate_floors=strategy in _FLOOR_STRATEGIES)
-        summary.append(_summary_row(spec.kind, strategy, 0.0, 0, alloc))
-        for k in range(scenario.n_devices):
-            scatter.append(
-                {
-                    "experiment": spec.kind,
-                    "strategy": strategy,
-                    "device": k,
-                    "rate_req_bps": scenario.devices[k].rate_req,
-                    "distance_m": alloc.distances[k],
-                    "rate_bps": alloc.rates[k],
-                }
-            )
-    return summary, scatter
+    summary, devices = _run_sweep(spec, [(0.0, scenario)], workers)
+    return summary, [{key: dev[key] for key in _SCATTER_KEYS} for dev in devices]
 
 
 def run_single_link_curve(scenario: Scenario, spec: ExperimentSpec, workers: int = 1):

@@ -143,7 +143,7 @@ def _parse_band(section: dict) -> BandPlan:
 def _parse_link_params(section: dict) -> LinkParams:
     if "gt_linear" in section:
         gt = float(section["gt_linear"])
-        gr = float(section["gr_linear"])
+        gr = float(_get(section, "link_params", "gr_linear"))
     else:
         gt = float(db_to_linear(_get(section, "link_params", "gain_tx_dbi")))
         gr = float(db_to_linear(_get(section, "link_params", "gain_rx_dbi")))
@@ -225,6 +225,8 @@ def _parse_experiment(section: dict) -> ExperimentSpec:
 
 def scenario_from_dict(doc: dict) -> tuple[Scenario, ExperimentSpec]:
     """Parse a scenario document; ScenarioError names the malformed section or field."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"the scenario must be a JSON object, got {type(doc).__name__}")
     for key in ("band", "link_params", "devices"):
         if key not in doc:
             raise ScenarioError(f"missing top-level section {key!r}")

@@ -312,6 +312,27 @@ class TestAbsorptionTable:
         with pytest.raises(DomainError):
             AbsorptionTable(np.array([2.0, 1.0]), np.array([0.1, 0.3]))
 
+    @pytest.mark.parametrize(
+        "freqs, ks",
+        [
+            ([4.9e11, math.nan, 6.1e11], [0.1, 0.2, 0.3]),
+            ([4.9e11, 5.5e11, 6.1e11], [0.1, math.nan, 0.3]),
+            ([4.9e11, 5.5e11, math.inf], [0.1, 0.2, 0.3]),
+            ([4.9e11, 5.5e11, 6.1e11], [0.1, math.inf, 0.3]),
+        ],
+        ids=["nan_frequency", "nan_k_abs", "inf_frequency", "inf_k_abs"],
+    )
+    def test_non_finite_values_rejected(self, freqs, ks):
+        with pytest.raises(DomainError, match="finite"):
+            AbsorptionTable(np.array(freqs), np.array(ks))
+
+    @pytest.mark.parametrize("row", ["5.5e11,nan", "nan,0.2", "inf,0.2"])
+    def test_from_csv_rejects_non_finite_values(self, tmp_path, row):
+        path = tmp_path / "table.csv"
+        path.write_text(f"frequency_hz,k_abs_per_m\n4.9e11,0.1\n{row}\n6.1e11,0.3\n")
+        with pytest.raises(DomainError, match="finite"):
+            AbsorptionTable.from_csv(path)
+
     def test_bundled_table_shape(self):
         table = bundled_absorption_table()
         assert table.frequencies[0] <= 5.0e11

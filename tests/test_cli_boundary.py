@@ -179,3 +179,23 @@ def test_bad_experiment_grid_exits_2_in_validate_and_run(tmp_path, capsys, kind,
     assert main(["run", "--spec", str(spec), "--out", str(out)]) == 2
     assert "experiment.grid" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, kind", [(5, "int"), (None, "NoneType"), ([1, 2], "list"), ("band", "str")]
+)
+def test_validate_exits_2_when_the_document_is_not_an_object(tmp_path, capsys, doc, kind):
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["validate", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == f"error: the scenario must be a JSON object, got {kind}\n"
+
+
+def test_validate_exits_2_on_a_non_finite_absorption_table(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    # The NaN row lies past the band (500-510 GHz), so no lookup reads it.
+    table.write_text("frequency_hz,k_abs_per_m\n4.9e11,0.1\n5.2e11,0.1\n6e11,nan\n")
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(_doc_with_table(table)))
+    assert main(["validate", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == "error: band: absorption table values must be finite\n"

@@ -226,6 +226,56 @@ class TestRateDistanceTradeoff:
                 assert row["rate_bps"] >= row["rate_req_bps"] * (1 - 1e-9)
 
 
+class TestSolvePathOfSingleScenarioKinds:
+    """`rate_distance_tradeoff` and `loss_distance_vs_frequency` solve
+    through `_run_sweep`: a failing strategy leaves an error row and no
+    detail rows, and a pool gives the serial rows."""
+
+    DISTMAX_ERROR = "ValueError: distance_max_benchmark requires rate_req > 0"
+
+    def test_tradeoff_records_a_failing_strategy(self, tmp_path):
+        sc = small_scenario(reqs=[0.0] * 4)  # distmax needs floors > 0
+        spec = ExperimentSpec(
+            kind="rate_distance_tradeoff", grid=(0.0,), strategies=("nonadaptive", "distmax")
+        )
+        summary, scatter = run_rate_distance_tradeoff(sc, spec)
+        assert [r["strategy"] for r in summary] == ["nonadaptive", "distmax"]
+        assert summary[0]["error"] == "" and summary[0]["tc_m_bps"] != ""
+        assert summary[1]["error"].startswith(self.DISTMAX_ERROR)
+        assert summary[1]["tc_m_bps"] == ""
+        assert [r["strategy"] for r in scatter] == ["nonadaptive"] * sc.n_devices
+        written = run_experiment(sc, spec, tmp_path / "out")
+        assert set(written) == {"summary.csv", "scatter.csv", "meta.json"}
+        assert "distmax" not in (tmp_path / "out" / "scatter.csv").read_text()
+
+    def test_loss_records_a_failing_strategy(self, tmp_path):
+        sc = small_scenario(reqs=[0.0] * 4)
+        spec = ExperimentSpec(
+            kind="loss_distance_vs_frequency", grid=(0.0,), strategies=("distmax",)
+        )
+        summary, rows = run_loss_distance_vs_frequency(sc, spec)
+        assert len(summary) == 1
+        assert summary[0]["strategy"] == "distmax"
+        assert summary[0]["error"].startswith(self.DISTMAX_ERROR)
+        assert rows == []
+        written = run_experiment(sc, spec, tmp_path / "out")
+        assert set(written) == {"summary.csv", "meta.json"}
+        assert not (tmp_path / "out" / "subwindows.csv").exists()
+
+    @pytest.mark.parametrize(
+        "kind, strategies",
+        [
+            ("rate_distance_tradeoff", ("proposed", "distmax", "nonadaptive")),
+            ("loss_distance_vs_frequency", ("proposed",)),
+        ],
+    )
+    def test_serial_parallel_identical(self, kind, strategies):
+        sc = small_scenario(n=6, reqs=[1.0 + 0.1 * k for k in range(6)])
+        spec = ExperimentSpec(kind=kind, grid=(0.0,), strategies=strategies)
+        runner = experiments.RUNNERS[kind]
+        assert runner(sc, spec, workers=2) == runner(sc, spec, workers=1)
+
+
 class TestLinkCurve:
     def test_optimum_row_dominates_grid(self, params):
         rows = link_curve(5e11, 0.2, 1e9, params, np.logspace(-1, 2, 200))

@@ -249,6 +249,7 @@ def test_device_count_bounded_before_expansion():
         (None, {"devices": [1]}, r"^devices\[0\]: must be an object$"),
         (None, {"devices": [{"count": 2}, "x"]}, r"^devices\[1\]: must be an object$"),
         ("experiment", {"seed": -3}, r"^experiment\.seed: "),
+        ("link_params", {"gt_linear": 31.6}, r"^link_params: missing required field 'gr_linear'$"),
     ],
 )
 def test_wrong_typed_field_names_its_section(section, fields, pattern):
