@@ -2,25 +2,23 @@
 
 Implements the single-device optimality condition ln(1+xi)(1+xi)/xi =
 2 + d*k_abs, the two operating regimes (rate floor slack vs. binding), the
-maximum feasible distance for a given rate floor, and the iterative
-distance-power fixed point with exponential smoothing that drives the
-proposed allocation strategy; that loop builds one link budget per iterate.
+maximum feasible distance for a given rate floor, the smoothed
+distance-power fixed point of the proposed strategy (one link budget per
+iterate), and the sum-distance KKT solve (`max_sum_distance`) with its
+budget-dual root (`_budget_dual`).
 
 The stationary SNR and the maximum distance have closed forms in the
 principal Lambert W and the Wright omega function (Corless et al., "On the
 Lambert W function", Adv. Comput. Math. 5, 1996). Every link budget goes
 through `channel.log_inverse_gain`, every rate through
 `channel.shannon_rate` and every rate floor's SNR through
-`channel.floor_snr`.
+`channel.floor_snr`. `optimal_distance_pair`, `max_distance` and
+`classify_regime` take a scalar or an array per device argument: scalars
+give floats, arrays solve every device at once and give arrays.
 
-`optimal_distance_pair`, `max_distance` and `classify_regime` take a scalar
-or an array per device argument: scalars give floats, arrays solve every
-device at once and give arrays. The optimal distance is one monotone
-array Newton descent from its closed-form root without absorption.
-
-All per-device arithmetic is done in log space where absorption exponents
-could overflow; devices parked deep inside an absorption peak simply end up
-with very short distances instead of NaNs.
+Per-device arithmetic is done in log space where absorption exponents
+could overflow; devices deep inside an absorption peak get very short
+distances instead of NaNs.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import lambertw, wrightomega
 
 from .assignment import ENUM_CAP
@@ -55,8 +54,8 @@ class SolverConfig:
     eps is the stop tolerance on the change of total transport capacity per
     inner iteration; with eps_relative=True it is scaled by max(1, TC), since
     an absolute 1e-6 m*bps would never trigger at realistic TC magnitudes.
-    Needs m_out >= 1, max_inner >= 1, 0 <= alpha < 1, finite d_init > 0,
-    finite d_min > 0 and finite eps >= 0.
+    Needs m_out, max_inner and enum_cap >= 1, 0 <= alpha < 1, finite
+    d_init > 0, finite d_min > 0 and finite eps >= 0.
     """
 
     alpha: float = 0.7
@@ -69,8 +68,8 @@ class SolverConfig:
     enum_cap: int = ENUM_CAP
 
     def __post_init__(self):
-        if self.m_out < 1 or self.max_inner < 1:
-            raise ValueError("m_out and max_inner must be >= 1")
+        if self.m_out < 1 or self.max_inner < 1 or self.enum_cap < 1:
+            raise ValueError("m_out, max_inner and enum_cap must be >= 1")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must be in [0, 1)")
         for name in ("d_init", "d_min"):
@@ -286,6 +285,62 @@ def _log_sum_exp(x) -> float:
     """ln(sum(exp(x))) without underflow or overflow."""
     top = x.max()
     return top + math.log(np.exp(x - top).sum())
+
+
+def _budget_dual(distances_for, log_powers, p_total: float):
+    """(d, evaluations): d = distances_for(ln nu) at the dual nu where the
+    total power sum(exp(log_powers(d))) is P_T; it must fall as nu grows.
+    ln nu is bracketed in steps of ln 256 from 0, then found by `brentq`;
+    `evaluations` counts the calls of `distances_for`."""
+    evaluations = 0
+
+    def log_power_gap(log_nu: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return _log_sum_exp(log_powers(distances_for(log_nu))) - math.log(p_total)
+
+    lo = hi = 0.0
+    while log_power_gap(lo) < 0:
+        lo -= math.log(256.0)
+    while log_power_gap(hi) > 0:
+        hi += math.log(256.0)
+    log_nu = brentq(log_power_gap, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    return distances_for(log_nu), evaluations + 1
+
+
+def max_sum_distance(rate_reqs, frequencies, k_abs, bandwidth: float, params: LinkParams):
+    """Sum-distance KKT solve on assigned subwindows, every floor > 0:
+    (distances, powers, evaluations).
+
+    Every rate sits at its floor, so p_k(d) = e^{base_k} d^2 e^{k d}, base_k
+    being the log power that meets the floor at 1 m without absorption. For
+    a common dual nu each distance solves p_k'(d) = 1/nu, i.e. in t = ln d
+
+        g(t) = base_k + t + ln(2 + k e^t) + k e^t = -ln nu.
+
+    g is increasing and convex, so `_newton_descent` from the k = 0 root (an
+    upper bound) descends monotonically onto every device's root. Total
+    power falls in nu, so `_budget_dual` finds nu with `evaluations` array
+    Newton solves. Powers are scaled onto P_T.
+    """
+    req, f, k = (np.asarray(a, dtype=float) for a in (rate_reqs, frequencies, k_abs))
+    log_xi_req = np.log(floor_snr(req, bandwidth))
+    base = log_xi_req + log_inverse_gain(f, 0.0, 1.0, bandwidth, params)
+
+    def log_powers(d):
+        return log_xi_req + log_inverse_gain(f, k, d, bandwidth, params)
+
+    def distances_for(log_nu):
+        def g(t):
+            x = k * np.exp(t)
+            return base + t + np.log(2.0 + x) + x + log_nu, (2.0 + 2.0 * x) / (2.0 + x) + x
+
+        t0 = -log_nu - base - math.log(2.0)
+        return np.exp(_newton_descent(g, t0, "distance-maximization"))
+
+    d, evaluations = _budget_dual(distances_for, log_powers, params.p_total)
+    p = np.exp(log_powers(d))
+    return d, p * (params.p_total / p.sum()), evaluations
 
 
 def _dual_step(log_c, xi, p_total: float, nu: float | None = None):

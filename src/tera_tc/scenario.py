@@ -98,6 +98,7 @@ def uniform_band(
 
 
 _MISSING = object()
+_SUBWINDOW_FIELDS = ("frequency_hz", "bandwidth_hz", "k_abs_per_m")
 
 
 def _int(value, key: str) -> int:
@@ -107,8 +108,14 @@ def _int(value, key: str) -> int:
     return int(value)
 
 
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{context}: must be an object")
+    return value
+
+
 def _get(section: dict, context: str, key: str, default=_MISSING):
-    if key in section:
+    if key in _object(section, context):
         return section[key]
     if default is _MISSING:
         raise ScenarioError(f"{context}: missing required field {key!r}")
@@ -117,15 +124,11 @@ def _get(section: dict, context: str, key: str, default=_MISSING):
 
 def _parse_band(section: dict) -> BandPlan:
     if "subwindows" in section:
+        if not isinstance(section["subwindows"], list):
+            raise ScenarioError("band.subwindows: must be a list")
         subs = []
         for i, row in enumerate(section["subwindows"]):
-            subs.append(
-                Subwindow(
-                    float(_get(row, f"band.subwindows[{i}]", "frequency_hz")),
-                    float(_get(row, f"band.subwindows[{i}]", "bandwidth_hz")),
-                    float(_get(row, f"band.subwindows[{i}]", "k_abs_per_m")),
-                )
-            )
+            subs.append(Subwindow(*(float(_get(row, f"band.subwindows[{i}]", key)) for key in _SUBWINDOW_FIELDS)))
         return BandPlan(tuple(subs))
     table_ref = _get(section, "band", "absorption_table", default="bundled")
     try:
@@ -167,9 +170,7 @@ def _parse_devices(entries, bandwidth: float, n_subwindows: int) -> tuple[Device
     devices = []
     for i, row in enumerate(entries):
         ctx = f"devices[{i}]"
-        if not isinstance(row, dict):
-            raise ScenarioError(f"{ctx}: must be an object")
-        count = _int(row.get("count", 1), "count")
+        count = _int(_object(row, ctx).get("count", 1), "count")
         if count < 1:
             raise ScenarioError(f"{ctx}.count: must be >= 1")
         if len(devices) + count > n_subwindows:
@@ -230,6 +231,8 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, ExperimentSpec]:
     for key in ("band", "link_params", "devices"):
         if key not in doc:
             raise ScenarioError(f"missing top-level section {key!r}")
+    for key in ("band", "link_params", "solver", "experiment"):
+        _object(doc.get(key, {}), key)
     section = "band"
     try:
         band = _parse_band(doc["band"])

@@ -1,15 +1,13 @@
-"""End-to-end allocation strategies.
+"""End-to-end allocation strategies. Each pairs devices with subwindows,
+takes powers and distances from the `distance_power` and `waterfill`
+kernels and audits its allocation: two-stage fixed-distance TC
+maximization and its sum-rate comparator, the proposed iterative TC
+maximization, the distance-maximization and non-adaptive benchmarks, and
+an exhaustive assignment oracle for small instances.
 
-Fixed-distance pipelines (transport-capacity and plain sum-rate objectives:
-Hungarian assignment at equal power, then water-filling) and the
-variable-distance strategies: the proposed iterative TC maximization, the
-distance-maximization and non-adaptive benchmarks, and an exhaustive
-assignment variant used as the small-instance oracle.
-
-The fixed-distance pipeline is written once, for a stack of T trials that
-share a scenario and differ in their device distances
-(`FIXED_DISTANCE_STACKS`); `fixed_distance_tc_max` and `sum_rate_max` are
-its T = 1 case.
+The fixed-distance pipeline is written once, for a stack of T trials
+sharing a scenario (`FIXED_DISTANCE_STACKS`); `fixed_distance_tc_max` and
+`sum_rate_max` are its T = 1 case.
 """
 
 from __future__ import annotations
@@ -20,23 +18,21 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .assignment import (
     EnumerationCapError,
     check_assignment,
     hungarian_assign,
 )
-from .channel import BandPlan, LinkParams, exp_inverse_gain, floor_snr, log_inverse_gain, shannon_rate
+from .channel import BandPlan, LinkParams, exp_inverse_gain, log_inverse_gain, shannon_rate
 from .distance_power import (
     InfeasibleError,
     IterState,
     Regime,
     SolverConfig,
-    _log_sum_exp,
-    _newton_descent,
     classify_regime,
     iterate_power_distance,
+    max_sum_distance,
 )
 from .waterfill import waterfill
 
@@ -272,71 +268,17 @@ def _greedy_min_pairing(rate_reqs, k_abs) -> np.ndarray:
 
 
 def distance_max_benchmark(scenario: Scenario) -> Allocation:
-    """Sum-distance maximization benchmark.
-
-    Greedy min-floor/min-absorption subwindow pairing, then the KKT solution
-    of the sum-distance problem. Every device's rate sits exactly at its
-    floor, so its power is p_k(d) = e^{base_k} d^2 e^{k d}, and for a common
-    dual nu each distance solves p_k'(d) = 1/nu, i.e. in t = ln d
-
-        g(t) = base_k + t + ln(2 + k e^t) + k e^t = -ln nu.
-
-    g is increasing and convex, so `_newton_descent` started at the k = 0
-    root (an upper bound) descends monotonically onto every device's root.
-    Total power is strictly decreasing in nu; ln nu is found by `brentq` on
-    ln sum(p) - ln P_T. `iterations` counts the dual evaluations, each one
-    array Newton solve over all devices.
-    """
+    """Sum-distance benchmark: `_greedy_min_pairing`, then `max_sum_distance`
+    with every rate on its floor; `iterations` counts its dual evaluations."""
     reqs = scenario.rate_reqs
     if np.any(reqs <= 0):
         raise ValueError("distance_max_benchmark requires rate_req > 0 for all devices")
     band = scenario.band
-    params = scenario.params
     n_of_k = _greedy_min_pairing(reqs, band.k_abs)
-    f = band.frequencies[n_of_k]
-    k = band.k_abs[n_of_k]
-    w = band.bandwidth
-    log_xi_req = np.log(floor_snr(reqs, w))
-
-    # Log power that meets each floor at 1 m without absorption.
-    base = log_xi_req + log_inverse_gain(f, 0.0, 1.0, w, params)
-    evaluations = 0
-
-    def log_powers(d: np.ndarray) -> np.ndarray:
-        return log_xi_req + log_inverse_gain(f, k, d, w, params)
-
-    def distances_for_nu(log_nu: float) -> np.ndarray:
-        nonlocal evaluations
-        evaluations += 1
-
-        def g(t):
-            x = k * np.exp(t)
-            return base + t + np.log(2.0 + x) + x + log_nu, (2.0 + 2.0 * x) / (2.0 + x) + x
-
-        t0 = -log_nu - base - math.log(2.0)
-        return np.exp(_newton_descent(g, t0, "distance-maximization"))
-
-    def log_power_gap(log_nu: float) -> float:
-        return _log_sum_exp(log_powers(distances_for_nu(log_nu))) - math.log(params.p_total)
-
-    lo, hi = 0.0, 0.0  # total power is strictly decreasing in nu
-    while log_power_gap(lo) < 0:
-        lo -= math.log(256.0)
-    while log_power_gap(hi) > 0:
-        hi += math.log(256.0)
-    log_nu = brentq(log_power_gap, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    d = distances_for_nu(log_nu)
-    p = np.exp(log_powers(d))
-    p *= params.p_total / p.sum()
-    alloc = Allocation(
-        strategy="distmax",
-        subwindows=n_of_k,
-        powers=p,
-        distances=d,
-        rates=reqs.astype(float).copy(),
-        regimes=[Regime.DISTANCE_MAXIMIZED.value] * len(d),
-        iterations=evaluations,
-    )
+    d, p, evaluations = max_sum_distance(
+        reqs, band.frequencies[n_of_k], band.k_abs[n_of_k], band.bandwidth, scenario.params)
+    alloc = Allocation(strategy="distmax", subwindows=n_of_k, powers=p, distances=d, rates=reqs.astype(float),
+                       regimes=[Regime.DISTANCE_MAXIMIZED.value] * len(d), iterations=evaluations)
     audit_allocation(alloc, scenario, check_rate_floors=True)
     return alloc
 

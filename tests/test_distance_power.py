@@ -392,8 +392,10 @@ class TestSolverConfigRanges:
             {"alpha": math.nan},
             {"d_init": 0.0},
             {"d_init": math.inf},
+            {"enum_cap": 0},
         ],
-        ids=["m_out", "max_inner", "alpha_one", "alpha_negative", "alpha_nan", "d_init_zero", "d_init_inf"],
+        ids=["m_out", "max_inner", "alpha_one", "alpha_negative", "alpha_nan", "d_init_zero", "d_init_inf",
+             "enum_cap_zero"],
     )
     def test_rejected(self, fields):
         with pytest.raises(ValueError):
@@ -454,3 +456,54 @@ def test_rate_floor_repair_properties(devices, p_dbm):
     assert np.all(state.distances >= config.d_min)
     snr = np.exp(np.log(state.powers) - log_inverse_gain(f, k, state.distances, w, params))
     assert np.allclose(w * np.log1p(snr) / LN2, state.rates, rtol=1e-9, atol=0.0)
+
+
+class TestSumDistanceKKT:
+    """`max_sum_distance` and its budget-dual root `_budget_dual`."""
+
+    def test_zero_absorption_closed_form(self):
+        """Without absorption each distance is e^(-base_k)/(2 nu) with
+        nu = sqrt(sum e^(-base_k) / P_T)/2, and every rate sits on its floor."""
+        band = uniform_band(500e9, 600e9, 6, bundled_absorption_table())
+        f, w = band.frequencies, band.bandwidth
+        req = np.array([0.5, 1.0, 2.0, 3.0, 4.0, 6.0]) * w
+        params = make_params(20.0)
+        d, p, _ = dp.max_sum_distance(req, f, np.zeros(6), w, params)
+        base = np.log(np.expm1(req / w * LN2)) + log_inverse_gain(f, 0.0, 1.0, w, params)
+        nu = 0.5 * math.sqrt(np.exp(-base).sum() / params.p_total)
+        np.testing.assert_allclose(d, np.exp(-base) / (2.0 * nu), rtol=1e-12, atol=0.0)
+        assert p.sum() == pytest.approx(params.p_total, rel=1e-12)
+        snr = p * np.exp(-log_inverse_gain(f, 0.0, d, w, params))
+        np.testing.assert_allclose(w * np.log1p(snr) / LN2, req, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("log_nu_star", [50.0, -50.0])
+    def test_budget_dual_walks_to_a_far_root(self, log_nu_star, monkeypatch):
+        """A toy family p_k = c_k d_k^2, d_k = 1/(2 nu c_k) with its root at
+        ln nu* = +-50: the bracket walk evaluates the gap once at 0 on each
+        side plus once per ln 256 step, and the final distances cost one more
+        evaluation after `brentq`."""
+        log_c = np.log([1.0, 2.0, 4.0])
+        p_total = np.exp(-log_c).sum() / 4.0 * math.exp(-2.0 * log_nu_star)
+        calls = {"distances_for": 0, "brentq": 0}
+
+        def distances_for(log_nu):
+            calls["distances_for"] += 1
+            return np.exp(-log_nu - math.log(2.0) - log_c)
+
+        real_brentq = dp.brentq
+
+        def counting_brentq(fun, lo, hi, **kwargs):
+            assert kwargs == {"xtol": 1e-15, "rtol": 8.9e-16, "maxiter": 200}
+
+            def counted(log_nu):
+                calls["brentq"] += 1
+                return fun(log_nu)
+
+            return real_brentq(counted, lo, hi, **kwargs)
+
+        monkeypatch.setattr(dp, "brentq", counting_brentq)
+        d, evaluations = dp._budget_dual(distances_for, lambda d: log_c + 2.0 * np.log(d), p_total)
+        walk = 2 + math.ceil(abs(log_nu_star) / math.log(256.0))
+        assert walk == 12
+        assert evaluations == walk + calls["brentq"] + 1 == calls["distances_for"]
+        np.testing.assert_allclose(d, np.exp(-log_nu_star - math.log(2.0) - log_c), rtol=1e-12, atol=0.0)

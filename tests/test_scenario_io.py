@@ -250,6 +250,13 @@ def test_device_count_bounded_before_expansion():
         (None, {"devices": [{"count": 2}, "x"]}, r"^devices\[1\]: must be an object$"),
         ("experiment", {"seed": -3}, r"^experiment\.seed: "),
         ("link_params", {"gt_linear": 31.6}, r"^link_params: missing required field 'gr_linear'$"),
+        (None, {"band": 5}, r"^band: must be an object$"),
+        (None, {"link_params": 5}, r"^link_params: must be an object$"),
+        (None, {"solver": [1]}, r"^solver: must be an object$"),
+        (None, {"experiment": 3}, r"^experiment: must be an object$"),
+        ("band", {"subwindows": 3}, r"^band\.subwindows: must be a list$"),
+        ("band", {"subwindows": [1]}, r"^band\.subwindows\[0\]: must be an object$"),
+        ("solver", {"enum_cap": 0}, r"^solver: .*enum_cap"),
     ],
 )
 def test_wrong_typed_field_names_its_section(section, fields, pattern):
