@@ -215,18 +215,30 @@ def log_inverse_gain(frequency, k_abs, distance, bandwidth, params: LinkParams):
 
     Computed in log space so that devices deep inside an absorption peak
     (k_abs * d of hundreds) do not overflow.
+
+    The value is (ln(sigma^2/(Gt Gr)) + k_abs d) + 2 ln(4 pi f d / c). Each
+    step after the first allocation writes into its buffer, so at most two
+    arrays of the broadcast shape (K x N for K x 1 distances) are alive at
+    once: the spreading term and k_abs d. IEEE + and * commute, so the
+    in-place form gives the same bits as the plain expression; the terms
+    keep their grouping. The inputs are never written to; 0-d inputs give
+    an np.float64.
     """
     frequency = np.asarray(frequency, dtype=float)
     distance = np.asarray(distance, dtype=float)
     k_abs = np.asarray(k_abs, dtype=float)
-    if np.any(frequency <= 0) or np.any(distance <= 0) or np.any(k_abs < 0):
+    if (frequency <= 0).any() or (distance <= 0).any() or (k_abs < 0).any():
         raise DomainError("log_inverse_gain requires f > 0, d > 0, k_abs >= 0")
     sigma2 = noise_power(bandwidth, params)
-    return (
-        np.log(sigma2 / (params.gt_linear * params.gr_linear))
-        + k_abs * distance
-        + 2.0 * np.log(4.0 * np.pi * frequency * distance / params.c)
-    )
+    shape = np.broadcast(frequency, k_abs, distance).shape
+    log_g = np.multiply(4.0 * np.pi * frequency, distance, out=np.empty(shape))
+    log_g /= params.c
+    np.log(log_g, out=log_g)
+    log_g *= 2.0
+    absorption = np.multiply(k_abs, distance)
+    absorption += np.log(sigma2 / (params.gt_linear * params.gr_linear))
+    log_g += absorption
+    return log_g if log_g.ndim else log_g[()]
 
 
 def inverse_gain(frequency, k_abs, distance, bandwidth, params: LinkParams):

@@ -321,9 +321,12 @@ def max_sum_distance(rate_reqs, frequencies, k_abs, bandwidth: float, params: Li
     g is increasing and convex, so `_newton_descent` from the k = 0 root (an
     upper bound) descends monotonically onto every device's root. Total
     power falls in nu, so `_budget_dual` finds nu with `evaluations` array
-    Newton solves. Powers are scaled onto P_T.
+    Newton solves. Powers are scaled onto P_T. A floor that is not > 0
+    raises ValueError, as in `max_distance`.
     """
     req, f, k = (np.asarray(a, dtype=float) for a in (rate_reqs, frequencies, k_abs))
+    if not np.all(req > 0):
+        raise ValueError("max_sum_distance requires rate_req > 0 for all devices")
     log_xi_req = np.log(floor_snr(req, bandwidth))
     base = log_xi_req + log_inverse_gain(f, 0.0, 1.0, bandwidth, params)
 

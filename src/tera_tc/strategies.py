@@ -24,7 +24,7 @@ from .assignment import (
     check_assignment,
     hungarian_assign,
 )
-from .channel import BandPlan, LinkParams, exp_inverse_gain, log_inverse_gain, shannon_rate
+from .channel import LN2, BandPlan, LinkParams, exp_inverse_gain, log_inverse_gain, shannon_rate
 from .distance_power import (
     InfeasibleError,
     IterState,
@@ -153,11 +153,22 @@ def _log_gain_matrix(scenario: Scenario, d: np.ndarray) -> np.ndarray:
 
 def _rates_at(scenario: Scenario, log_ginv: np.ndarray, powers) -> np.ndarray:
     """Rates (bps) at per-device powers from a (stack of) K x N log inverse
-    gain."""
+    gain, which is left unchanged.
+
+    One output array is allocated and every later step (the SNR, zero
+    where p <= 0, then `channel.shannon_rate`'s operations) runs in it, so
+    with `log_ginv` two such arrays are alive at most; the bits are those
+    of the plain expressions.
+    """
     p = np.asarray(powers, dtype=float)[:, None]
+    out = np.subtract(np.log(np.maximum(p, 1e-300)), log_ginv)
     with np.errstate(over="ignore"):
-        snr = np.where(p > 0, np.exp(np.log(np.maximum(p, 1e-300)) - log_ginv), 0.0)
-    return shannon_rate(snr, scenario.band.bandwidth)
+        np.exp(out, out=out)
+    np.copyto(out, 0.0, where=~(p > 0))
+    np.log1p(out, out=out)
+    out *= scenario.band.bandwidth
+    out /= LN2
+    return out
 
 
 def _fixed_distance_stack(
@@ -176,8 +187,9 @@ def _fixed_distance_stack(
     n_trials, n_dev = distances.shape
     p_total = scenario.params.p_total
     log_ginv = _log_gain_matrix(scenario, distances[:, :, None])
-    rates = _rates_at(scenario, log_ginv, np.full(n_dev, p_total / n_dev))
-    payoff = distances[:, :, None] * rates if weighted else rates
+    payoff = _rates_at(scenario, log_ginv, np.full(n_dev, p_total / n_dev))
+    if weighted:
+        payoff *= distances[:, :, None]
     n_of_k = hungarian_assign(payoff)
     ginv = exp_inverse_gain(log_ginv[np.arange(n_trials)[:, None], np.arange(n_dev), n_of_k])
     p = waterfill(distances if weighted else np.ones(distances.shape), ginv, p_total)
@@ -245,8 +257,10 @@ def proposed_tc_max(scenario: Scenario) -> Allocation:
     best: Allocation | None = None
     total_inner = 0
     for _ in range(cfg.m_out):
-        payoff = d[:, None] * _rate_matrix(scenario, d, p)
+        payoff = _rate_matrix(scenario, d, p)
+        payoff *= d[:, None]
         n_of_k = hungarian_assign(payoff)
+        del payoff  # freed before the next round builds its link budget
         state = _inner_solve(scenario, n_of_k, d0=d)
         total_inner += state.iterations
         if best is None or state.tc > best.tc:

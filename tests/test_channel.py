@@ -356,3 +356,59 @@ class TestAbsorptionTable:
 def test_band_plan_rejects_non_finite(sub):
     with pytest.raises(DomainError, match="finite"):
         BandPlan((Subwindow(*sub),))
+
+
+def _plain_log_inverse_gain(frequency, k_abs, distance, bandwidth, params):
+    """`log_inverse_gain` as one out-of-place expression: the reference its
+    in-place form must match bit for bit."""
+    frequency = np.asarray(frequency, dtype=float)
+    distance = np.asarray(distance, dtype=float)
+    k_abs = np.asarray(k_abs, dtype=float)
+    sigma2 = params.n0 * np.asarray(bandwidth, dtype=float)
+    return (
+        np.log(sigma2 / (params.gt_linear * params.gr_linear))
+        + k_abs * distance
+        + 2.0 * np.log(4.0 * np.pi * frequency * distance / params.c)
+    )
+
+
+def _read_only_copy(x):
+    out = np.array(x, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+_RNG = np.random.default_rng(2024)
+_F_BAND = np.linspace(5.005e11, 5.995e11, 37)
+_K_BAND = np.concatenate([_RNG.uniform(0.0, 3.0, 36), [0.0]])
+
+
+@pytest.mark.parametrize(
+    "f, k, d",
+    [
+        (_F_BAND, _K_BAND, _RNG.uniform(1e-3, 400.0, (29, 1))),
+        (_F_BAND, _K_BAND, _RNG.uniform(1e-3, 400.0, (4, 29, 1))),
+        (_F_BAND[:29], _K_BAND[:29], _RNG.uniform(1e-3, 400.0, 29)),
+        (_F_BAND[:29], 0.0, 1.0),
+        (5.55e11, 0.7, 12.5),
+        (5.55e11, 0.0, 3.0),
+        (5.55e11, _K_BAND, 250.0),
+    ],
+    ids=["NxK1", "TxKx1", "K", "k0_scalar", "scalar", "k0_all_scalar", "k_only_array"],
+)
+def test_log_inverse_gain_bit_identical_to_plain_expression(f, k, d):
+    """Same bits, shape and type (np.float64 for scalars) as the plain
+    expression, from plain and from read-only inputs, which stay unchanged."""
+    params = make_params(20.0)
+    plain = log_inverse_gain(f, k, d, 1e9, params)
+    inputs = [_read_only_copy(x) for x in (f, k, d)]
+    before = [x.copy() for x in inputs]
+    got = log_inverse_gain(*inputs, 1e9, params)
+    want = _plain_log_inverse_gain(f, k, d, 1e9, params)
+    for out in (got, plain):
+        assert type(out) is type(want)
+        assert np.shape(out) == np.shape(want)
+        assert np.array_equal(out, want)
+    for x, x0 in zip(inputs, before):
+        assert np.array_equal(x, x0)
+

@@ -507,3 +507,12 @@ class TestSumDistanceKKT:
         assert walk == 12
         assert evaluations == walk + calls["brentq"] + 1 == calls["distances_for"]
         np.testing.assert_allclose(d, np.exp(-log_nu_star - math.log(2.0) - log_c), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("floors", [[0.0, 1e9], [1e9, -1.0], [math.nan, 1e9]], ids=["zero", "negative", "nan"])
+    def test_non_positive_floor_is_value_error(self, floors):
+        """Checked before any numpy work: no RuntimeWarning, no
+        ConvergenceError, the same ValueError type `max_distance` raises."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rate_req > 0"):
+                dp.max_sum_distance(floors, [5.0e11, 5.5e11], [0.1, 0.2], 1e9, make_params(20.0))

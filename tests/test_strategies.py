@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,6 +36,7 @@ from tera_tc.strategies import (
     proposed_tc_max,
     sum_rate_max,
 )
+from tera_tc import strategies
 from tera_tc.units import dbm_to_watts
 from conftest import make_params
 
@@ -486,3 +488,56 @@ def test_extreme_budget_is_typed_or_audited(name, n, p_dbm):
         except (ConvergenceError, InfeasibleError):
             return
         audit_allocation(alloc, sc, check_rate_floors=True)
+
+
+def _plain_rates_at(log_ginv, powers, bandwidth):
+    """`strategies._rates_at` as the out-of-place expressions it replaces:
+    the reference its in-place form must match bit for bit."""
+    p = np.asarray(powers, dtype=float)[:, None]
+    with np.errstate(over="ignore"):
+        snr = np.where(p > 0, np.exp(np.log(np.maximum(p, 1e-300)) - log_ginv), 0.0)
+    return bandwidth * np.log1p(snr) / LN2
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["KxN", "TxKxN"])
+def test_rates_at_bit_identical_to_plain_expressions(stacked):
+    sc, _ = default_scenario()
+    rng = np.random.default_rng(7)
+    n_dev = 6
+    d = rng.uniform(1.0, 40.0, (3, n_dev, 1) if stacked else (n_dev, 1))
+    band = sc.band
+    log_ginv = np.array(strategies._log_gain_matrix(sc, d))
+    log_ginv[..., 0, 3] = -800.0  # exp(ln p + 800) overflows to inf
+    log_ginv.flags.writeable = False
+    before = log_ginv.copy()
+    powers = np.array([1e-3, 0.0, 2e-2, 5e-4, 0.0, 1e-1])  # two p = 0 rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = strategies._rates_at(sc, log_ginv, powers)
+    want = _plain_rates_at(log_ginv, powers, band.bandwidth)
+    assert got.shape == want.shape == log_ginv.shape
+    assert np.array_equal(got, want)
+    assert np.isinf(got[..., 0, 3]).all() and (got[..., [1, 4], :] == 0.0).all()
+    assert np.array_equal(log_ginv, before)
+
+
+def test_proposed_round_holds_two_link_budget_arrays():
+    """Each round of `proposed` builds its K x N link budget, rates and
+    payoff in place, so the traced peak stays near two K x N float arrays
+    (the hungarian cost beside the payoff)."""
+    k = 300
+    sc, _ = default_scenario()
+    band = uniform_band(500e9, 600e9, k, bundled_absorption_table())
+    reqs = np.random.default_rng(0).choice([1.0, 4.0], size=k) * band.bandwidth
+    sc = Scenario(band=band, params=sc.params, devices=tuple(DeviceSpec(rate_req=float(r)) for r in reqs),
+                  config=sc.config)
+    band.frequencies, band.k_abs  # built once, outside the trace
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        proposed_tc_max(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 2.5 * k * k * 8
