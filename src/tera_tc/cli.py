@@ -33,6 +33,10 @@ def _cmd_run(args) -> int:
         spec = replace(spec, seed=args.seed)
     if args.strategies:
         spec = replace(spec, strategies=tuple(args.strategies.split(",")))
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"--out: {args.out}: {exc.strerror or exc}") from exc
     written = run_experiment(scenario, spec, args.out, workers=args.parallel)
     for name, path in sorted(written.items()):
         print(f"wrote {path}")
@@ -77,7 +81,10 @@ def _cmd_link_curve(args) -> int:
         raise ScenarioError(f"{_LINK_CURVE_FLAGS[exc.field]}: {exc}") from exc
     d = np.logspace(np.log10(args.d_min), np.log10(args.d_max), args.points)
     rows = link_curve(sub.frequency, sub.k_abs, sub.bandwidth, params, d)
-    write_results(rows, args.out)
+    try:
+        write_results(rows, args.out)
+    except OSError as exc:
+        raise ScenarioError(f"--out: {args.out}: {exc.strerror or exc}") from exc
     print(f"wrote {args.out}")
     return 0
 

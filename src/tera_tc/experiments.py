@@ -1,14 +1,17 @@
 """Experiment drivers: parameter sweeps, Monte Carlo CDFs, and CSV output.
 
-Every runner returns plain row dictionaries so results can be written as
-CSV (`write_results`) or inspected in memory. Every call of a strategy in
+`RUNNERS` has a runner for each kind of `scenario.KINDS`. Each returns
+plain row dictionaries, to be written as CSV (`write_results`) or
+inspected in memory, and each that solves an allocation runs every
+strategy of the spec, in list order. Every call of a strategy in
 `STRATEGIES` goes through `_solve`, which turns an exception into the
 error column of its summary row, so one failing strategy does not stop an
 experiment; the CDF's stacked fixed-distance kernels record theirs the
-same way in `_solve_stack`. `run_experiment` writes every file through
-`write_results` except `cdf.csv`, which it writes straight from the sorted
-per-(radius, strategy) rate arrays (`_write_cdf`) with the same bytes and
-no row dictionaries. Sweep points, and blocks of Monte Carlo trials that
+same way in `_solve_stack`. `run_experiment` names the detail file from
+`scenario.KINDS` and writes every file through `write_results` except
+`cdf.csv`, which it writes straight from the sorted per-(radius,
+strategy) rate arrays (`_write_cdf`) with the same bytes and no row
+dictionaries. Sweep points, and blocks of Monte Carlo trials that
 share a (radius, strategy), are independent jobs; the fixed-distance
 strategies solve a whole block in one stacked pass. With `workers > 1`
 the jobs run in a process pool, in `_CHUNKS_PER_WORKER` chunks per
@@ -35,7 +38,7 @@ import numpy as np
 from . import __version__
 from .channel import absorption_loss, log_inverse_gain, shannon_rate, spreading_loss
 from .distance_power import optimal_distance_pair
-from .scenario import ExperimentSpec, Scenario, scenario_to_dict
+from .scenario import KINDS, ExperimentSpec, Scenario, scenario_to_dict
 from .strategies import FIXED_DISTANCE_STACKS, STRATEGIES, Allocation, DeviceSpec
 from .strategies import audit_allocation  # noqa: F401 -- perfbench/tracer.py patches this name here
 from .units import dbm_to_watts
@@ -230,11 +233,10 @@ def _cdf_groups(scenario: Scenario, spec: ExperimentSpec, workers: int):
     One job solves a block of trials of one (radius, strategy); the
     fixed-distance strategies solve a block in one stacked pass.
     """
-    strategies = spec.strategies or ("tc_fixed", "sum_rate")
     block = max(1, _BLOCK_ELEMS // (scenario.n_devices * scenario.band.n))
     jobs = []
     for radius_index, radius in enumerate(spec.grid):
-        for strategy in strategies:
+        for strategy in spec.strategies:
             for start in range(0, spec.trials, block):
                 trials = range(start, min(start + block, spec.trials))
                 jobs.append(
@@ -311,13 +313,15 @@ _SUBWINDOW_KEYS = ("experiment", "strategy", "subwindow", "frequency_hz", "k_abs
 
 
 def run_loss_distance_vs_frequency(scenario: Scenario, spec: ExperimentSpec, workers: int = 1):
-    """Per-subwindow losses and the distance allocated by one strategy
-    (`proposed` unless the spec names one), in subwindow order; the path
-    loss column excludes antenna gains."""
-    strategy = spec.strategies[0] if spec.strategies else "proposed"
-    summary, devices = _run_sweep(replace(spec, strategies=(strategy,)), [(0.0, scenario)], workers)
+    """Per-subwindow losses and the distance allocated by each strategy of
+    the spec: one block of rows per strategy that solved, in list order,
+    each in subwindow order. The path loss column excludes antenna gains."""
+    summary, devices = _run_sweep(spec, [(0.0, scenario)], workers)
+    n = scenario.n_devices  # the device rows of each strategy that solved
+    by_subwindow = operator.itemgetter("subwindow")
+    blocks = (sorted(devices[i:i + n], key=by_subwindow) for i in range(0, len(devices), n))
     rows = []
-    for dev in sorted(devices, key=operator.itemgetter("subwindow")):
+    for dev in itertools.chain.from_iterable(blocks):
         d = dev["distance_m"]
         spread = float(spreading_loss(dev["frequency_hz"], d, scenario.params.c))
         absorb = float(absorption_loss(dev["k_abs_per_m"], d))
@@ -396,14 +400,6 @@ RUNNERS = {
     "single_link_curve": run_single_link_curve,
 }
 
-#: Name of the secondary CSV emitted per experiment kind.
-DETAIL_FILENAMES = {
-    "cdf_fixed_distance": "cdf.csv",
-    "loss_distance_vs_frequency": "subwindows.csv",
-    "rate_distance_tradeoff": "scatter.csv",
-    "single_link_curve": "curve.csv",
-}
-
 
 def write_results(rows, path) -> None:
     """Write row dictionaries as CSV, columns in the first row's key order.
@@ -444,7 +440,7 @@ def run_experiment(scenario: Scenario, spec: ExperimentSpec, out_dir, workers: i
         path = os.path.join(out_dir, "summary.csv")
         write_results(summary, path)
         written["summary.csv"] = path
-    detail_name = DETAIL_FILENAMES.get(spec.kind, "devices.csv")
+    detail_name = KINDS[spec.kind][1]
     if write_detail is not None:
         path = os.path.join(out_dir, detail_name)
         write_detail(path)

@@ -20,30 +20,23 @@ from .distance_power import SolverConfig
 from .strategies import STRATEGIES, DeviceSpec, Scenario
 from .units import db_to_linear, dbm_to_watts
 
-EXPERIMENT_KINDS = (
-    "tc_vs_power",
-    "tc_vs_devices",
-    "cdf_fixed_distance",
-    "loss_distance_vs_frequency",
-    "rate_distance_tradeoff",
-    "exhaustive_validation",
-    "single_link_curve",
-)
-
 
 class ScenarioError(ValueError):
     """Malformed scenario file; the message names the offending field."""
 
 
-#: What `grid` holds for each swept kind, and the test each point must
-#: pass; the other kinds' placeholder grids are not read.
+#: Each experiment kind: what its `grid` holds and the test each point must
+#: pass (None where the grid is a placeholder that is not read), and the
+#: name of its detail CSV. `experiments.RUNNERS` has the same keys.
 _DBM_POWERS = ("total powers in dBm, finite and > 0 in W", lambda x: 0 < dbm_to_watts(x) < math.inf)
-_GRID_POINTS = {
-    "tc_vs_power": _DBM_POWERS,
-    "exhaustive_validation": _DBM_POWERS,
-    "tc_vs_devices": ("whole device counts >= 1", lambda x: x >= 1 and float(x).is_integer()),
-    "cdf_fixed_distance": ("cell radii in m, > 0", lambda x: x > 0),
-    "single_link_curve": ("distances in m, > 0", lambda x: x > 0),
+KINDS = {
+    "tc_vs_power": (_DBM_POWERS, "devices.csv"),
+    "tc_vs_devices": (("whole device counts >= 1", lambda x: x >= 1 and float(x).is_integer()), "devices.csv"),
+    "cdf_fixed_distance": (("cell radii in m, > 0", lambda x: x > 0), "cdf.csv"),
+    "loss_distance_vs_frequency": (None, "subwindows.csv"),
+    "rate_distance_tradeoff": (None, "scatter.csv"),
+    "exhaustive_validation": (_DBM_POWERS, "devices.csv"),
+    "single_link_curve": (("distances in m, > 0", lambda x: x > 0), "curve.csv"),
 }
 
 
@@ -51,11 +44,10 @@ _GRID_POINTS = {
 class ExperimentSpec:
     """What to sweep and how often.
 
-    The meaning of `grid` depends on `kind`: total power in dBm
-    (tc_vs_power, exhaustive_validation), device counts (tc_vs_devices),
-    cell radii in m (cdf_fixed_distance), distances in m
-    (single_link_curve); kinds without a sweep use a single placeholder
-    point. `_GRID_POINTS` holds the check on each swept kind's points.
+    `KINDS` says what `grid` holds for each kind and checks its points;
+    kinds without a sweep take one placeholder point. Every kind that
+    solves an allocation runs every strategy in `strategies`, in list
+    order, and the list must not be empty.
     """
 
     kind: str
@@ -65,13 +57,14 @@ class ExperimentSpec:
     strategies: tuple[str, ...] = ("proposed",)
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in KINDS:
             raise ScenarioError(f"experiment.kind: unknown kind {self.kind!r}")
         grid = list(self.grid)
         if not grid or not np.all(np.isfinite(grid)) or grid != sorted(grid):
             raise ScenarioError("experiment.grid: must be non-empty, finite and sorted")
-        if self.kind in _GRID_POINTS:
-            what, ok = _GRID_POINTS[self.kind]
+        points = KINDS[self.kind][0]
+        if points is not None:
+            what, ok = points
             bad = [x for x in grid if not ok(x)]
             if bad:
                 raise ScenarioError(f"experiment.grid: {self.kind} takes {what}, got {bad[0]!r}")
@@ -79,6 +72,8 @@ class ExperimentSpec:
             raise ScenarioError("experiment.trials: must be >= 1")
         if self.seed < 0:
             raise ScenarioError(f"experiment.seed: must be >= 0, got {self.seed}")
+        if not self.strategies:
+            raise ScenarioError("experiment.strategies: must name at least one strategy")
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise ScenarioError(f"experiment.strategies: unknown strategy {s!r}")
@@ -212,7 +207,7 @@ def _parse_solver(section: dict) -> SolverConfig:
 
 
 def _parse_experiment(section: dict) -> ExperimentSpec:
-    strategies = section.get("strategies", ["proposed"])
+    strategies = section.get("strategies", list(ExperimentSpec.strategies))
     if not isinstance(strategies, list) or not all(isinstance(s, str) for s in strategies):
         raise ScenarioError(f"experiment.strategies: must be a list of strategy names, got {strategies!r}")
     return ExperimentSpec(
@@ -255,11 +250,16 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, ExperimentSpec]:
 
 
 def load_scenario(path) -> tuple[Scenario, ExperimentSpec]:
-    with open(path) as fh:
-        try:
+    """Parse a scenario JSON file; ScenarioError names a path it cannot read."""
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise ScenarioError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not a text file: {exc.reason} at byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     return scenario_from_dict(doc)
 
 

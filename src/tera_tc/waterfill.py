@@ -59,10 +59,6 @@ def waterfill(weights, inverse_gains, p_total: float) -> np.ndarray:
     lam = levels[t, n_active[:, None] - 1]
     p = np.maximum(0.0, w / lam - g)  # exactly 0 where g is inf
     total = p.sum(axis=-1)
-    for i in np.flatnonzero(~usable.all(axis=-1)):
-        # The usable powers alone: the zeros between them would change the
-        # pairwise summation's rounding.
-        total[i] = p[i, usable[i]].sum()
     flat = np.flatnonzero(total == 0)  # every p_total + g rounded to g
     p[flat, order[flat, 0]] = total[flat] = p_total
     p *= (p_total / total)[:, None]

@@ -199,3 +199,45 @@ def test_validate_exits_2_on_a_non_finite_absorption_table(tmp_path, capsys):
     spec.write_text(json.dumps(_doc_with_table(table)))
     assert main(["validate", "--spec", str(spec)]) == 2
     assert capsys.readouterr().err == "error: band: absorption table values must be finite\n"
+
+
+@pytest.mark.parametrize("kind", ["tc_vs_power", "cdf_fixed_distance", "loss_distance_vs_frequency"])
+def test_empty_strategy_list_exits_2_in_validate_and_run(tmp_path, capsys, kind):
+    doc = _default_doc()
+    doc["experiment"].update(kind=kind, grid=[5.0], strategies=[])
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["validate", "--spec", str(spec)]) == 2
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("error: experiment.strategies: ") == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("what", ["missing", "directory", "binary"])
+def test_unreadable_spec_exits_2_naming_the_path(tmp_path, capsys, command, what):
+    spec = tmp_path / "scenario.json"
+    if what == "directory":
+        spec.mkdir()
+    elif what == "binary":
+        spec.write_bytes(b"\xff\xfe{}")
+    argv = [command, "--spec", str(spec)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {spec}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_out_below_a_file_exits_2(tmp_path, capsys):
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(_doc_with_table("bundled")))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", "--spec", str(spec), "--out", str(blocker / "sub")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out: {blocker / 'sub'}: ")
+
+
+def test_link_curve_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "curve.csv"
+    assert main(LINK_CURVE + ["--points", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out: {out}: ")

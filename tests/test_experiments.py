@@ -25,7 +25,7 @@ from tera_tc.experiments import (
     sample_disk_distances,
     write_results,
 )
-from tera_tc.scenario import ExperimentSpec, save_scenario, uniform_band
+from tera_tc.scenario import KINDS, ExperimentSpec, save_scenario, uniform_band
 from tera_tc.strategies import STRATEGIES, DeviceSpec, Scenario, proposed_tc_max
 from tera_tc.units import dbm_to_watts
 from conftest import make_params
@@ -267,6 +267,7 @@ class TestSolvePathOfSingleScenarioKinds:
         [
             ("rate_distance_tradeoff", ("proposed", "distmax", "nonadaptive")),
             ("loss_distance_vs_frequency", ("proposed",)),
+            ("loss_distance_vs_frequency", ("distmax", "proposed")),
         ],
     )
     def test_serial_parallel_identical(self, kind, strategies):
@@ -274,6 +275,23 @@ class TestSolvePathOfSingleScenarioKinds:
         spec = ExperimentSpec(kind=kind, grid=(0.0,), strategies=strategies)
         runner = experiments.RUNNERS[kind]
         assert runner(sc, spec, workers=2) == runner(sc, spec, workers=1)
+
+    def test_loss_writes_a_block_per_strategy_in_subwindow_order(self):
+        sc = small_scenario(n=6, reqs=[1.0 + 0.1 * k for k in range(6)])
+        spec = ExperimentSpec(kind="loss_distance_vs_frequency", grid=(0.0,), strategies=("distmax", "proposed"))
+        summary, rows = run_loss_distance_vs_frequency(sc, spec)
+        assert [r["strategy"] for r in summary] == ["distmax", "proposed"]
+        assert [r["error"] for r in summary] == ["", ""]
+        assert [r["strategy"] for r in rows] == ["distmax"] * 6 + ["proposed"] * 6
+        for block in (rows[:6], rows[6:]):
+            assert [r["subwindow"] for r in block] == list(range(6))
+        for strategy, block in (("distmax", rows[:6]), ("proposed", rows[6:])):
+            alone = run_loss_distance_vs_frequency(sc, dataclasses.replace(spec, strategies=(strategy,)))[1]
+            assert block == alone
+
+
+def test_runners_cover_exactly_the_scenario_kinds():
+    assert set(experiments.RUNNERS) == set(KINDS)
 
 
 class TestLinkCurve:

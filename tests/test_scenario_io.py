@@ -8,6 +8,7 @@ import pytest
 
 from tera_tc.channel import bundled_absorption_table
 from tera_tc.scenario import (
+    KINDS,
     ExperimentSpec,
     ScenarioError,
     default_scenario,
@@ -257,6 +258,7 @@ def test_device_count_bounded_before_expansion():
         ("band", {"subwindows": 3}, r"^band\.subwindows: must be a list$"),
         ("band", {"subwindows": [1]}, r"^band\.subwindows\[0\]: must be an object$"),
         ("solver", {"enum_cap": 0}, r"^solver: .*enum_cap"),
+        ("experiment", {"strategies": []}, r"^experiment\.strategies: "),
     ],
 )
 def test_wrong_typed_field_names_its_section(section, fields, pattern):
@@ -265,3 +267,15 @@ def test_wrong_typed_field_names_its_section(section, fields, pattern):
     target.update(fields)
     with pytest.raises(ScenarioError, match=pattern):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_empty_strategy_list_rejected_for_every_kind(kind):
+    with pytest.raises(ScenarioError, match=r"^experiment\.strategies: "):
+        ExperimentSpec(kind=kind, grid=(1.0,), strategies=())
+
+
+def test_missing_strategies_default_to_the_spec_default():
+    doc = minimal_doc()
+    assert "strategies" not in doc["experiment"]
+    assert scenario_from_dict(doc)[1].strategies == ExperimentSpec.strategies
