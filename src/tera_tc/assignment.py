@@ -65,7 +65,8 @@ def _check_payoff(payoff, stacked: bool = False) -> np.ndarray:
     n_dev, n_sub = payoff.shape[-2:]
     if n_dev > n_sub:
         raise AssignmentError(f"more devices ({n_dev}) than subwindows ({n_sub})")
-    if not np.isfinite(payoff).all():
+    # min and max propagate NaN and reach +-inf, with no K x N temporary.
+    if payoff.size and not (np.isfinite(payoff.min()) and np.isfinite(payoff.max())):
         raise AssignmentError("payoff matrix contains NaN/inf entries")
     return payoff
 
@@ -102,11 +103,12 @@ def _may_have_equal_rows(cost: np.ndarray) -> np.ndarray:
     return (h[:, 1:] - h[:, :-1] <= 4.0 * n * np.finfo(float).eps * h[:, 1:]).any(axis=-1)
 
 
-def _column_potentials(payoff: np.ndarray, cost: np.ndarray) -> np.ndarray:
+def _column_potentials(scale: np.ndarray, cost: np.ndarray) -> np.ndarray:
     """Sorted-chain estimate of the column duals of each square cost
     matrix in a T x n x n stack, as a T x n array.
 
-    Columns are scored by their summed row-normalised cost, rows by their
+    Columns are scored by their summed row-normalised cost (each row
+    divided by its `scale`, the largest |payoff| in the row), rows by their
     slope against that score; one power-iteration step re-scores the
     columns by the rows' slopes, and the rows' slopes are taken again. The
     steepest row is paired with the lowest-scored column, and so on down
@@ -117,7 +119,6 @@ def _column_potentials(payoff: np.ndarray, cost: np.ndarray) -> np.ndarray:
     temporary. Every product is one BLAS matrix-vector call per matrix.
     """
     n = cost.shape[-1]
-    scale = np.maximum(payoff.max(axis=-1), -payoff.min(axis=-1))
     w = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
 
     def centred(x):
@@ -138,7 +139,7 @@ def _column_potentials(payoff: np.ndarray, cost: np.ndarray) -> np.ndarray:
     return v
 
 
-def _shift_columns(payoff: np.ndarray, cost: np.ndarray) -> None:
+def _shift_columns(scale: np.ndarray, cost: np.ndarray) -> None:
     """Subtract `_column_potentials` in place from each square cost matrix
     of a T x n x n stack, except where two rows may be equal or the
     shifted cost could overflow."""
@@ -146,14 +147,14 @@ def _shift_columns(payoff: np.ndarray, cost: np.ndarray) -> None:
         shift = ~_may_have_equal_rows(cost)
         if not shift.any():
             return
-        v = _column_potentials(payoff, cost)
+        v = _column_potentials(scale, cost)
         # cost >= 0, so |cost - v| stays below this bound.
         shift &= np.isfinite(cost.max(axis=(1, 2)) + np.abs(v).max(axis=-1))
         if shift.any():
             cost -= np.where(shift[:, None], v, 0.0)[:, None, :]
 
 
-def hungarian_assign(payoff) -> np.ndarray:
+def hungarian_assign(payoff, *, overwrite_payoff: bool = False) -> np.ndarray:
     """Assignment maximizing the total payoff, one subwindow per device.
 
     Returns an int array `n_of_k` of length K, or T x K for a T x K x N
@@ -161,13 +162,22 @@ def hungarian_assign(payoff) -> np.ndarray:
     matrices are handled directly (unassigned subwindows are simply
     unused). A square payoff with pairwise distinct rows is solved on the
     cost shifted by `_column_potentials` (see the module docstring).
+
+    The payoff is left unchanged by default. With `overwrite_payoff=True`
+    (scipy.linalg's `overwrite_a` convention) the cost max - payoff is
+    written into a writeable float payoff's own buffer, so no second array
+    of its shape is allocated; its contents are then undefined. The bits
+    scipy is given, and so the assignment, are the same either way.
     """
     payoff = _check_payoff(payoff, stacked=True)
     stack = payoff.reshape((-1,) + payoff.shape[-2:])
-    cost = stack.max(axis=(1, 2), keepdims=True) - stack
     n_dev, n_sub = stack.shape[1:]
+    if n_dev == n_sub:  # read before the cost may overwrite the payoff
+        scale = np.maximum(stack.max(axis=-1), -stack.min(axis=-1))
+    out = stack if overwrite_payoff and stack.flags.writeable else None
+    cost = np.subtract(stack.max(axis=(1, 2), keepdims=True), stack, out=out)
     if n_dev == n_sub:
-        _shift_columns(stack, cost)
+        _shift_columns(scale, cost)
     n_of_k = np.empty(stack.shape[:2], dtype=int)
     for assigned, c in zip(n_of_k, cost):
         rows, cols = linear_sum_assignment(c)

@@ -34,6 +34,10 @@ LN2 = math.log(2.0)
 #: this absorption exponent the gain is treated as exactly zero.
 _LOG_HUGE = 700.0
 
+#: Elements per block in which `log_inverse_gain` adds the absorption term
+#: of a 2-D or larger link budget (128 kB of float64).
+_BLOCK = 16_384
+
 
 class DomainError(ValueError):
     """An input is outside the physical domain of a channel function;
@@ -216,13 +220,15 @@ def log_inverse_gain(frequency, k_abs, distance, bandwidth, params: LinkParams):
     Computed in log space so that devices deep inside an absorption peak
     (k_abs * d of hundreds) do not overflow.
 
-    The value is (ln(sigma^2/(Gt Gr)) + k_abs d) + 2 ln(4 pi f d / c). Each
-    step after the first allocation writes into its buffer, so at most two
-    arrays of the broadcast shape (K x N for K x 1 distances) are alive at
-    once: the spreading term and k_abs d. IEEE + and * commute, so the
-    in-place form gives the same bits as the plain expression; the terms
-    keep their grouping. The inputs are never written to; 0-d inputs give
-    an np.float64.
+    The value is (ln(sigma^2/(Gt Gr)) + k_abs d) + 2 ln(4 pi f d / c). One
+    array of the broadcast shape (K x N for K x 1 distances) is allocated
+    and the spreading term is built in it. For a 2-D or larger shape the
+    absorption term is then added in blocks of rows of about `_BLOCK`
+    elements, so one array of the broadcast shape plus one block is alive
+    at once; 0-d and 1-D shapes take the term whole. IEEE + and * commute,
+    so the in-place form gives the same bits as the plain expression; the
+    terms keep their grouping. The inputs are never written to; 0-d inputs
+    give an np.float64.
     """
     frequency = np.asarray(frequency, dtype=float)
     distance = np.asarray(distance, dtype=float)
@@ -235,10 +241,21 @@ def log_inverse_gain(frequency, k_abs, distance, bandwidth, params: LinkParams):
     log_g /= params.c
     np.log(log_g, out=log_g)
     log_g *= 2.0
-    absorption = np.multiply(k_abs, distance)
-    absorption += np.log(sigma2 / (params.gt_linear * params.gr_linear))
-    log_g += absorption
-    return log_g if log_g.ndim else log_g[()]
+    log_c = np.log(sigma2 / (params.gt_linear * params.gr_linear))
+    if log_g.ndim < 2:
+        absorption = np.multiply(k_abs, distance)
+        absorption += log_c
+        log_g += absorption
+        return log_g if log_g.ndim else log_g[()]
+    k_abs, distance = np.broadcast_to(k_abs, shape), np.broadcast_to(distance, shape)
+    rows = max(1, _BLOCK // shape[-1])
+    for lead in np.ndindex(shape[:-2]):
+        for r in range(0, shape[-2], rows):
+            block = lead + (slice(r, r + rows),)
+            absorption = np.multiply(k_abs[block], distance[block])
+            absorption += log_c
+            log_g[block] += absorption
+    return log_g
 
 
 def inverse_gain(frequency, k_abs, distance, bandwidth, params: LinkParams):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import BandPlan, DomainError, LinkParams, Subwindow
 from .experiments import link_curve, run_experiment, write_results
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, check_strategies, load_scenario
 from .units import db_to_linear, dbm_to_watts
 
 
@@ -31,8 +31,10 @@ def _cmd_run(args) -> int:
     scenario, spec = load_scenario(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    if args.strategies:
-        spec = replace(spec, strategies=tuple(args.strategies.split(",")))
+    if args.strategies is not None:
+        names = tuple(args.strategies.split(",")) if args.strategies else ()
+        check_strategies(names, "--strategies")
+        spec = replace(spec, strategies=names)
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:

@@ -47,7 +47,7 @@ class ExperimentSpec:
     `KINDS` says what `grid` holds for each kind and checks its points;
     kinds without a sweep take one placeholder point. Every kind that
     solves an allocation runs every strategy in `strategies`, in list
-    order, and the list must not be empty.
+    order; the list must not be empty or name a strategy twice.
     """
 
     kind: str
@@ -72,11 +72,19 @@ class ExperimentSpec:
             raise ScenarioError("experiment.trials: must be >= 1")
         if self.seed < 0:
             raise ScenarioError(f"experiment.seed: must be >= 0, got {self.seed}")
-        if not self.strategies:
-            raise ScenarioError("experiment.strategies: must name at least one strategy")
-        for s in self.strategies:
-            if s not in STRATEGIES:
-                raise ScenarioError(f"experiment.strategies: unknown strategy {s!r}")
+        check_strategies(self.strategies, "experiment.strategies")
+
+
+def check_strategies(names, field: str) -> None:
+    """Raise a ScenarioError naming `field` unless `names` lists at least
+    one strategy and every name is a known strategy listed once."""
+    if not names:
+        raise ScenarioError(f"{field}: must name at least one strategy")
+    for i, s in enumerate(names):
+        if s not in STRATEGIES:
+            raise ScenarioError(f"{field}: unknown strategy {s!r}")
+        if s in names[:i]:
+            raise ScenarioError(f"{field}: {s!r} listed twice")
 
 
 def uniform_band(

@@ -141,7 +141,8 @@ def audit_allocation(
 def _rate_matrix(scenario: Scenario, distances, powers) -> np.ndarray:
     """Per-(device, subwindow) rates (bps) at the given distances/powers."""
     d = np.asarray(distances, dtype=float)
-    return _rates_at(scenario, _log_gain_matrix(scenario, d[:, None]), powers)
+    log_ginv = _log_gain_matrix(scenario, d[:, None])
+    return _rates_at(scenario, log_ginv, powers, out=log_ginv)
 
 
 def _log_gain_matrix(scenario: Scenario, d: np.ndarray) -> np.ndarray:
@@ -151,17 +152,18 @@ def _log_gain_matrix(scenario: Scenario, d: np.ndarray) -> np.ndarray:
     return log_inverse_gain(band.frequencies, band.k_abs, d, band.bandwidth, scenario.params)
 
 
-def _rates_at(scenario: Scenario, log_ginv: np.ndarray, powers) -> np.ndarray:
+def _rates_at(scenario: Scenario, log_ginv: np.ndarray, powers, out=None) -> np.ndarray:
     """Rates (bps) at per-device powers from a (stack of) K x N log inverse
-    gain, which is left unchanged.
+    gain.
 
-    One output array is allocated and every later step (the SNR, zero
-    where p <= 0, then `channel.shannon_rate`'s operations) runs in it, so
-    with `log_ginv` two such arrays are alive at most; the bits are those
-    of the plain expressions.
+    Every step (the SNR, zero where p <= 0, then `channel.shannon_rate`'s
+    operations) runs in one array: a fresh one by default, which leaves
+    `log_ginv` unchanged, or `out`, which may be `log_ginv` itself to turn
+    the link budget into the rates with no second array of its shape. The
+    bits are those of the plain expressions either way.
     """
     p = np.asarray(powers, dtype=float)[:, None]
-    out = np.subtract(np.log(np.maximum(p, 1e-300)), log_ginv)
+    out = np.subtract(np.log(np.maximum(p, 1e-300)), log_ginv, out=out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     np.copyto(out, 0.0, where=~(p > 0))
@@ -190,7 +192,7 @@ def _fixed_distance_stack(
     payoff = _rates_at(scenario, log_ginv, np.full(n_dev, p_total / n_dev))
     if weighted:
         payoff *= distances[:, :, None]
-    n_of_k = hungarian_assign(payoff)
+    n_of_k = hungarian_assign(payoff, overwrite_payoff=True)
     ginv = exp_inverse_gain(log_ginv[np.arange(n_trials)[:, None], np.arange(n_dev), n_of_k])
     p = waterfill(distances if weighted else np.ones(distances.shape), ginv, p_total)
     snr = np.where(np.isfinite(ginv), p / ginv, 0.0)
@@ -259,7 +261,7 @@ def proposed_tc_max(scenario: Scenario) -> Allocation:
     for _ in range(cfg.m_out):
         payoff = _rate_matrix(scenario, d, p)
         payoff *= d[:, None]
-        n_of_k = hungarian_assign(payoff)
+        n_of_k = hungarian_assign(payoff, overwrite_payoff=True)
         del payoff  # freed before the next round builds its link budget
         state = _inner_solve(scenario, n_of_k, d0=d)
         total_inner += state.iterations

@@ -244,3 +244,64 @@ def test_small_payoff_agrees_with_exhaustive(payoff):
     got = hungarian_assign(payoff)
     best = assignment_payoff(payoff, exhaustive_assign(payoff))
     assert assignment_payoff(payoff, got) == pytest.approx(best, rel=1e-12, abs=1e-9)
+
+
+def _assign_recording_costs(payoff, **kwargs):
+    """hungarian_assign(payoff, **kwargs) and copies of the cost matrices
+    it handed to scipy, one per problem of the stack."""
+    with mock.patch.object(
+        assignment, "linear_sum_assignment", wraps=linear_sum_assignment
+    ) as lsap:
+        n_of_k = hungarian_assign(payoff, **kwargs)
+    return n_of_k, [np.array(c) for (c,), _ in lsap.call_args_list]
+
+
+def _overwrite_cases():
+    rng = np.random.default_rng(5)
+    k = 40
+    d = rng.uniform(0.05, 10.0, k)
+    yield "square", _thz_payoff(k, d, rng.uniform(-20.0, 30.0, k), weighted=True)
+    yield "K<N", _thz_payoff(k, d, rng.uniform(-20.0, 30.0, k), weighted=False)[: k // 2]
+    yield "stacked", np.stack(
+        [_thz_payoff(k, rng.uniform(0.05, 10.0, k), rng.uniform(-20.0, 30.0, k), weighted=True)
+         for _ in range(3)]
+    )
+    yield "equal_rows", _thz_payoff(k, np.full(k, 10.0), np.full(k, 20.0), weighted=True)
+
+
+@pytest.mark.parametrize("case", list(_overwrite_cases()), ids=lambda c: c[0])
+def test_overwrite_payoff_gives_scipy_the_same_cost(case):
+    _, payoff = case
+    kept = payoff.copy()
+    want, want_costs = _assign_recording_costs(payoff)
+    assert np.array_equal(payoff, kept)  # the default call leaves the payoff alone
+    buffer = payoff.copy()
+    got, got_costs = _assign_recording_costs(buffer, overwrite_payoff=True)
+    assert np.array_equal(got, want)
+    assert len(got_costs) == len(want_costs) == (len(buffer) if buffer.ndim == 3 else 1)
+    for c_got, c_want in zip(got_costs, want_costs):
+        assert np.array_equal(c_got, c_want)
+    # The cost was written into the payoff's own buffer.
+    assert np.array_equal(buffer.reshape(-1, *buffer.shape[-2:]), np.stack(want_costs))
+
+
+def test_overwrite_payoff_leaves_read_only_and_integer_payoffs_alone():
+    payoff = np.arange(9.0).reshape(3, 3) ** 2
+    payoff.flags.writeable = False
+    ints = (np.arange(9).reshape(3, 3) ** 2).copy()
+    for p in (payoff, ints):
+        kept = p.copy()
+        assert np.array_equal(hungarian_assign(p, overwrite_payoff=True), hungarian_assign(kept))
+        assert np.array_equal(p, kept)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 3)], ids=["2-D", "stacked"])
+def test_non_finite_payoff_rejected(bad, shape):
+    payoff = np.random.default_rng(1).random(shape)
+    payoff[(-1,) * (len(shape) - 1) + (1,)] = bad
+    with pytest.raises(AssignmentError, match="^payoff matrix contains NaN/inf entries$"):
+        hungarian_assign(payoff)
+    if len(shape) == 2:
+        with pytest.raises(AssignmentError, match="NaN/inf"):
+            exhaustive_assign(payoff)

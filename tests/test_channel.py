@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from tera_tc import channel
 from tera_tc.channel import (
     AbsorptionTable,
     BandPlan,
@@ -412,3 +413,30 @@ def test_log_inverse_gain_bit_identical_to_plain_expression(f, k, d):
     for x, x0 in zip(inputs, before):
         assert np.array_equal(x, x0)
 
+
+
+@pytest.mark.parametrize(
+    "block, f, k, d",
+    [
+        (100, _F_BAND, _K_BAND, _RNG.uniform(1e-3, 400.0, (29, 1))),
+        (100, _F_BAND, _K_BAND, _RNG.uniform(1e-3, 400.0, (4, 29, 1))),
+        (10, _F_BAND, _K_BAND, _RNG.uniform(1e-3, 400.0, (29, 1))),
+        (100, _F_BAND, _RNG.uniform(0.0, 3.0, (3, 1, 37)), _RNG.uniform(1e-3, 400.0, (3, 29, 1))),
+        (100, _F_BAND, 0.0, _RNG.uniform(1e-3, 400.0, (29, 1))),
+    ],
+    ids=["KxN", "TxKxN", "row_per_block", "k_per_trial", "k0"],
+)
+def test_log_inverse_gain_blocks_bit_identical_to_plain_expression(monkeypatch, block, f, k, d):
+    """The absorption term is added in blocks of rows. A block of 100
+    elements holds two rows of 37 subwindows, so 29 devices span 15 blocks
+    and end on a ragged one; a block of 10 holds one row. Every case still
+    gives the plain expression's bits."""
+    monkeypatch.setattr(channel, "_BLOCK", block)
+    params = make_params(20.0)
+    inputs = [_read_only_copy(x) for x in (f, k, d)]
+    got = log_inverse_gain(*inputs, 1e9, params)
+    want = _plain_log_inverse_gain(f, k, d, 1e9, params)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    for x, x0 in zip(inputs, (f, k, d)):
+        assert np.array_equal(x, x0)

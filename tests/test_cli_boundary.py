@@ -241,3 +241,48 @@ def test_link_curve_out_in_a_missing_directory_exits_2(tmp_path, capsys):
     out = tmp_path / "missing_dir" / "curve.csv"
     assert main(LINK_CURVE + ["--points", "5", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: --out: {out}: ")
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ("", "must name at least one strategy"),
+        ("distmax,", "unknown strategy ''"),
+        (",", "unknown strategy ''"),
+        ("bogus", "unknown strategy 'bogus'"),
+        ("distmax,distmax", "'distmax' listed twice"),
+    ],
+    ids=["empty", "trailing_comma", "comma_only", "unknown", "twice"],
+)
+def test_run_rejects_a_bad_strategies_flag_naming_it(tmp_path, capsys, names, message):
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(_doc_with_table("bundled")))
+    out = tmp_path / "out"
+    assert main(["run", "--spec", str(spec), "--out", str(out), "--strategies", names]) == 2
+    assert capsys.readouterr().err == f"error: --strategies: {message}\n"
+    assert not out.exists()
+
+
+def test_run_strategies_flag_replaces_the_file_list(tmp_path, capsys):
+    doc = _doc_with_table("bundled")
+    doc["experiment"] = {"kind": "tc_vs_power", "grid": [30.0], "strategies": ["proposed"]}
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--spec", str(spec), "--out", str(out), "--strategies", "distmax,nonadaptive"]) == 0
+    with open(out / "summary.csv", newline="") as fh:
+        assert [r["strategy"] for r in csv.DictReader(fh)] == ["distmax", "nonadaptive"]
+
+
+@pytest.mark.parametrize("kind", ["tc_vs_power", "cdf_fixed_distance", "loss_distance_vs_frequency"])
+def test_strategy_listed_twice_exits_2_in_validate_and_run(tmp_path, capsys, kind):
+    doc = _default_doc()
+    doc["experiment"].update(kind=kind, grid=[5.0], strategies=["distmax", "proposed", "distmax"])
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["validate", "--spec", str(spec)]) == 2
+    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 2
+    want = "error: experiment.strategies: 'distmax' listed twice\n"
+    assert capsys.readouterr().err == want * 2
+    assert not out.exists()

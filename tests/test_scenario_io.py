@@ -279,3 +279,9 @@ def test_missing_strategies_default_to_the_spec_default():
     doc = minimal_doc()
     assert "strategies" not in doc["experiment"]
     assert scenario_from_dict(doc)[1].strategies == ExperimentSpec.strategies
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_strategy_listed_twice_rejected_for_every_kind(kind):
+    with pytest.raises(ScenarioError, match=r"^experiment\.strategies: 'distmax' listed twice$"):
+        ExperimentSpec(kind=kind, grid=(1.0,), strategies=("distmax", "distmax"))

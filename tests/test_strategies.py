@@ -541,3 +541,61 @@ def test_proposed_round_holds_two_link_budget_arrays():
     finally:
         tracemalloc.stop()
     assert peak - start <= 2.5 * k * k * 8
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["KxN", "TxKxN"])
+def test_rates_at_into_the_link_budget_bit_identical_to_default(stacked):
+    sc, _ = default_scenario()
+    rng = np.random.default_rng(11)
+    n_dev = 6
+    d = rng.uniform(1.0, 40.0, (3, n_dev, 1) if stacked else (n_dev, 1))
+    log_ginv = np.array(strategies._log_gain_matrix(sc, d))
+    log_ginv[..., 0, 3] = -800.0  # exp(ln p + 800) overflows to inf
+    powers = np.array([1e-3, 0.0, 2e-2, 5e-4, 0.0, 1e-1])
+    want = strategies._rates_at(sc, log_ginv, powers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = strategies._rates_at(sc, log_ginv, powers, out=log_ginv)
+    assert got is log_ginv
+    assert np.array_equal(got, want)
+
+
+def _traced_peak(fn, *args) -> int:
+    """Bytes `fn(*args)` allocates at its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
+def test_proposed_round_holds_one_link_budget_array():
+    """The link budget's buffer becomes the rates, the payoff and scipy's
+    cost, and the absorption term is added in blocks, so a round's traced
+    peak stays near one K x N float array (1.59 of them at K = N = 300;
+    the hungarian cost beside the payoff read 2.22)."""
+    k = 300
+    sc, _ = default_scenario()
+    band = uniform_band(500e9, 600e9, k, bundled_absorption_table())
+    reqs = np.random.default_rng(0).choice([1.0, 4.0], size=k) * band.bandwidth
+    sc = Scenario(band=band, params=sc.params, devices=tuple(DeviceSpec(rate_req=float(r)) for r in reqs),
+                  config=sc.config)
+    band.frequencies, band.k_abs  # built once, outside the trace
+    assert _traced_peak(proposed_tc_max, sc) <= 1.75 * k * k * 8
+
+
+@pytest.mark.parametrize("weighted", [True, False], ids=["tc_fixed", "sum_rate"])
+def test_fixed_distance_block_holds_two_link_budget_arrays(weighted):
+    """A T x K x N trial block keeps its link budget for the gather after
+    the assignment, and scipy's cost is written into the payoff: two such
+    arrays at the peak (2.25 of them), where a separate cost made 3.24."""
+    sc, _ = default_scenario()
+    t, k, n = 4, sc.n_devices, sc.band.n
+    d = np.random.default_rng(0).uniform(1.0, 40.0, (t, k))
+    sc.band.frequencies, sc.band.k_abs  # built once, outside the trace
+    peak = _traced_peak(strategies._fixed_distance_stack, sc, d, weighted, "x")
+    assert peak <= 2.5 * t * k * n * 8
