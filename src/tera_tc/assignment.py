@@ -32,18 +32,65 @@ prelude before scipy (cost, equal-row test, potentials, shift) runs once
 over the whole stack, scipy once per problem; each problem gets exactly
 the answer it gets alone. A single 2-D payoff is the stack of one, a view
 with no extra copy.
+
+`linear_sum_assignment` is the built-in function of scipy's compiled
+`scipy/optimize/_lsap` extension, loaded from its file: importing
+`scipy.optimize` would also load `scipy.linalg`, `scipy.sparse` and every
+optimiser, some 260 more modules, for this one function.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+import scipy
 
 #: Default cap on the number of injections exhaustive_assign may enumerate.
 ENUM_CAP = 10_000_000
+
+
+def _lsap_file() -> str | None:
+    """Path of scipy's compiled `scipy.optimize._lsap` extension, or None."""
+    directory = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_lsap" + suffix)
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+def _load_linear_sum_assignment():
+    """scipy's `linear_sum_assignment`: the extension's file is loaded
+    without running `scipy/optimize/__init__.py`, or, when it is not found,
+    the package is imported. Either way it is the same C function.
+
+    A single-phase extension such as this one registers itself in
+    `sys.modules` as it initialises; a new entry is taken out again, so
+    `scipy.optimize._lsap` is not listed without its package.
+    """
+    name = "scipy.optimize._lsap"
+    path = _lsap_file()
+    if path is None:
+        from scipy.optimize import linear_sum_assignment
+
+        return linear_sum_assignment
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+    registered = name in sys.modules
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    if not registered:
+        sys.modules.pop(name, None)
+    return module.linear_sum_assignment
+
+
+linear_sum_assignment = _load_linear_sum_assignment()
 
 
 class AssignmentError(ValueError):
@@ -168,8 +215,12 @@ def hungarian_assign(payoff, *, overwrite_payoff: bool = False) -> np.ndarray:
     written into a writeable float payoff's own buffer, so no second array
     of its shape is allocated; its contents are then undefined. The bits
     scipy is given, and so the assignment, are the same either way.
+    A payoff with no devices gets an empty assignment, as from
+    `exhaustive_assign`.
     """
     payoff = _check_payoff(payoff, stacked=True)
+    if payoff.size == 0:  # no devices (or no problems): nothing to assign
+        return np.empty(payoff.shape[:-1], dtype=int)
     stack = payoff.reshape((-1,) + payoff.shape[-2:])
     n_dev, n_sub = stack.shape[1:]
     if n_dev == n_sub:  # read before the cost may overwrite the payoff

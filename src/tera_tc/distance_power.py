@@ -5,7 +5,8 @@ Implements the single-device optimality condition ln(1+xi)(1+xi)/xi =
 maximum feasible distance for a given rate floor, the smoothed
 distance-power fixed point of the proposed strategy (one link budget per
 iterate), and the sum-distance KKT solve (`max_sum_distance`) with its
-budget-dual root (`_budget_dual`).
+budget-dual root (`_budget_dual`), found by `brentq`, Brent's method
+written out as scipy's `brentq.c` does it.
 
 The stationary SNR and the maximum distance have closed forms in the
 principal Lambert W and the Wright omega function (Corless et al., "On the
@@ -28,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import lambertw, wrightomega
 
 from .assignment import ENUM_CAP
@@ -285,6 +285,64 @@ def _log_sum_exp(x) -> float:
     """ln(sum(exp(x))) without underflow or overflow."""
     top = x.max()
     return top + math.log(np.exp(x - top).sum())
+
+
+def brentq(f, a: float, b: float, *, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f between a and b, where f changes sign: Brent's zeroin
+    (Brent, "Algorithms for Minimization without Derivatives", 1973, ch. 4)
+    step for step as scipy's `brentq.c` takes it, so each call of f and the
+    root are the same bits as `scipy.optimize.brentq(f, a, b, xtol=xtol,
+    rtol=rtol, maxiter=maxiter)`. It stops where half the bracket is below
+    delta = (xtol + rtol |x|) / 2. ValueError, with scipy's messages, for a
+    NaN value of f or f(a), f(b) of one sign; ConvergenceError naming the
+    budget dual, whose root it finds, after maxiter steps.
+    """
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless a short enough step is found
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic through the three points
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C divides to +-inf or NaN: bisect
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise ConvergenceError(f"budget dual: no root within {maxiter} Brent steps, last ln nu {xcur!r}")
 
 
 def _budget_dual(distances_for, log_powers, p_total: float):

@@ -5,6 +5,9 @@ with the plain `linear_sum_assignment(payoff.max() - payoff)` call and
 with the exhaustive oracle.
 """
 
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -305,3 +308,51 @@ def test_non_finite_payoff_rejected(bad, shape):
     if len(shape) == 2:
         with pytest.raises(AssignmentError, match="NaN/inf"):
             exhaustive_assign(payoff)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (0, 0), (2, 0, 0)])
+def test_no_devices_gives_an_empty_assignment(shape):
+    n_of_k = hungarian_assign(np.zeros(shape))
+    assert n_of_k.shape == shape[:-1]
+    assert n_of_k.dtype == int
+    if len(shape) == 2:
+        assert list(exhaustive_assign(np.zeros(shape))) == list(n_of_k) == []
+
+
+def _lsap_costs():
+    rng = np.random.default_rng(11)
+    yield "square", rng.random((7, 7))
+    yield "rectangular", rng.random((4, 9))
+    yield "identical_rows", np.tile(rng.random(6), (6, 1))
+
+
+@pytest.mark.parametrize("file_found", [True, False], ids=["extension_file", "fallback"])
+@pytest.mark.parametrize("case", list(_lsap_costs()), ids=lambda c: c[0])
+def test_lsap_loader_gives_scipy_assignments(case, file_found):
+    """Loaded from the extension's file or, with the file finder patched to
+    miss, imported from `scipy.optimize`: the same assignments as scipy's
+    own function, and `sys.modules` left as it was."""
+    _, cost = case
+    registered = sys.modules.get("scipy.optimize._lsap")
+    if file_found:
+        assert assignment._lsap_file() is not None
+        lsap = assignment._load_linear_sum_assignment()
+    else:
+        with mock.patch.object(assignment, "_lsap_file", return_value=None):
+            lsap = assignment._load_linear_sum_assignment()
+    assert sys.modules.get("scipy.optimize._lsap") is registered
+    for got, want in zip(lsap(cost), linear_sum_assignment(cost)):
+        assert np.array_equal(got, want)
+
+
+def test_import_loads_no_scipy_optimize():
+    """A fresh interpreter importing the package, its CLI and its
+    experiment drivers loads scipy's LSAP kernel but not `scipy.optimize`."""
+    src = os.path.dirname(os.path.dirname(assignment.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, tera_tc, tera_tc.cli, tera_tc.experiments; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
 from tera_tc.channel import LinkParams, bundled_absorption_table, log_inverse_gain
 from tera_tc.distance_power import (
@@ -516,3 +517,93 @@ class TestSumDistanceKKT:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="rate_req > 0"):
                 dp.max_sum_distance(floors, [5.0e11, 5.5e11], [0.1, 0.2], 1e9, make_params(20.0))
+
+    def test_budget_dual_out_of_steps_is_convergence_error(self, monkeypatch):
+        """With `maxiter` capped at 2 the Brent solve stops after its two
+        bracket ends and two steps, with a ConvergenceError naming the budget
+        dual, which `except RuntimeError` callers still catch."""
+        real_brentq = dp.brentq
+        calls = []
+
+        def capped_brentq(fun, lo, hi, **kwargs):
+            def counted(log_nu):
+                calls.append(log_nu)
+                return fun(log_nu)
+
+            return real_brentq(counted, lo, hi, **{**kwargs, "maxiter": 2})
+
+        monkeypatch.setattr(dp, "brentq", capped_brentq)
+        with pytest.raises(ConvergenceError, match="budget dual") as info:
+            dp.max_sum_distance([1e9, 2e9], [5.0e11, 5.5e11], [0.1, 0.2], 1e9, make_params(20.0))
+        assert isinstance(info.value, RuntimeError)
+        assert len(calls) == 4
+
+
+#: Monotone shapes g(t), t = (x - root) / scale, for the Brent comparison.
+#: "tiny" drives the divided differences of the extrapolation step to
+#: underflow, so its denominator is zero. The last three hold flat
+#: stretches: a clipped ramp, a staircase that is never zero, and a dead
+#: zone that is zero on a whole interval.
+BRENT_SHAPES = {
+    "linear": lambda t: t,
+    "cubic": lambda t: t**3,
+    "tiny": lambda t: 1e-170 * t**3,
+    "exp": lambda t: math.expm1(3.0 * min(t, 200.0)),
+    "clipped": lambda t: min(max(t, -0.5), 0.25),
+    "stairs": lambda t: math.floor(4.0 * t) + 0.5,
+    "dead_zone": lambda t: min(t + 0.5, 0.0) + max(t - 0.25, 0.0),
+}
+
+
+@st.composite
+def _brent_cases(draw):
+    ends = st.floats(-100.0, 100.0, allow_subnormal=False)
+    a, b = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    root = draw(st.one_of(st.just(a), st.just(b), st.floats(a, b), st.floats(-150.0, 150.0)))
+    shape = draw(st.sampled_from(sorted(BRENT_SHAPES)))
+    scale = draw(st.floats(1e-3, 10.0))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if draw(st.booleans()):
+        a, b = b, a
+    kwargs = dict(
+        xtol=draw(st.sampled_from([1e-15, 2e-12, 1e-6, 1e-2])),
+        rtol=draw(st.sampled_from([8.9e-16, 1e-10, 1e-4])),
+        maxiter=draw(st.sampled_from([1, 2, 5, 50, 200])),
+    )
+    return shape, root, scale, sign, a, b, kwargs
+
+
+def _brent_outcome(solver, f, a, b, kwargs):
+    """(the root's bits, or the error's kind and message; the points f was
+    called at)."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    try:
+        return solver(counted, a, b, **kwargs).hex(), calls
+    except ValueError as exc:
+        return f"ValueError: {exc}", calls
+    except RuntimeError:
+        return "no convergence", calls
+
+
+@settings(max_examples=400, deadline=None)
+@given(_brent_cases())
+@example(("linear", 1.0, 1.0, 1.0, 1.0, 3.0, dict(xtol=1e-15, rtol=8.9e-16, maxiter=200)))  # root at a
+@example(("linear", 3.0, 1.0, -1.0, 1.0, 3.0, dict(xtol=1e-15, rtol=8.9e-16, maxiter=200)))  # root at b
+@example(("dead_zone", 0.0, 1.0, 1.0, -90.0, 80.0, dict(xtol=1e-15, rtol=8.9e-16, maxiter=200)))
+@example(("stairs", 0.3, 1.0, 1.0, -5.0, 5.0, dict(xtol=1e-15, rtol=8.9e-16, maxiter=200)))
+@example(("tiny", 0.3, 1.0, 1.0, -100.0, 100.0, dict(xtol=1e-15, rtol=8.9e-16, maxiter=200)))
+def test_brentq_matches_scipy_bit_for_bit(case):
+    """`distance_power.brentq` calls f at the same points as scipy's
+    `brentq` and returns the same root bits, or fails the same way."""
+    shape, root, scale, sign, a, b, kwargs = case
+    g = BRENT_SHAPES[shape]
+
+    def f(x):
+        return sign * g((x - root) / scale)
+
+    assert _brent_outcome(dp.brentq, f, a, b, kwargs) == _brent_outcome(scipy_brentq, f, a, b, kwargs)
