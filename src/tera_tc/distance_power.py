@@ -10,7 +10,12 @@ written out as scipy's `brentq.c` does it.
 
 The stationary SNR and the maximum distance have closed forms in the
 principal Lambert W and the Wright omega function (Corless et al., "On the
-Lambert W function", Adv. Comput. Math. 5, 1996). Every link budget goes
+Lambert W function", Adv. Comput. Math. 5, 1996), evaluated by two private
+kernels rather than `scipy.special`. `_lambert_w0` interpolates a start
+value in a table of W0 over the only interval the stationarity condition
+reaches, [-2 e^-2, 0], and takes one real Halley step; `_wright_omega`
+transcribes the real path of Lawrence, Corless and Jeffrey's iteration
+(ACM TOMS 917, 2012) as scipy's `wrightomega` takes it. Every link budget goes
 through `channel.log_inverse_gain`, every rate through
 `channel.shannon_rate` and every rate floor's SNR through
 `channel.floor_snr`. `optimal_distance_pair`, `max_distance` and
@@ -26,10 +31,10 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import lambertw, wrightomega
 
 from .assignment import ENUM_CAP
 from .channel import D_MIN, LinkParams, floor_snr, log_inverse_gain, shannon_rate
@@ -105,22 +110,97 @@ def stationarity_lhs(xi):
     return np.log1p(xi) * (1.0 + xi) / xi
 
 
+def _halley_w0_step(w, z):
+    """The real Halley step for w e^w = z at w > -1 (Corless et al. 1996,
+    section 5): f / (e^w (w+1) - (w+2) f / (2w+2)), f = w e^w - z."""
+    ew = np.exp(w)
+    f = w * ew - z
+    return f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+
+
+def _w0_table():
+    """(z, W0(z)) at 2049 even steps over [-2 e^-2, 0]. Halley runs from
+    ln(1+z), which lies below W0 there, for eight steps, more than it needs
+    to reach rounding noise; then each node keeps whichever of w and its two
+    neighbouring floats has the smallest residual |w e^w - z|."""
+    z = np.linspace(-2.0 * math.exp(-2.0), 0.0, 2049)
+    w = np.log1p(z)
+    for _ in range(8):
+        w -= _halley_w0_step(w, z)
+    near = np.stack([np.nextafter(w, -np.inf), w, np.nextafter(w, np.inf)])
+    best = np.abs(near * np.exp(near) - z).argmin(axis=0)
+    return z, near[best, np.arange(z.size)]
+
+
+_W0_Z, _W0_W = _w0_table()
+
+
+def _lambert_w0(z):
+    """Principal Lambert W for z in [-2 e^-2, 0], the arguments the
+    stationarity condition gives, well away from the branch point -1/e.
+    The start value, linear in the `_W0_Z`/`_W0_W` table, is within 4e-8;
+    one Halley step, cubically convergent, leaves rounding error only."""
+    w = np.interp(z, _W0_Z, _W0_W)
+    return w - _halley_w0_step(w, z)
+
+
+_EPS = sys.float_info.epsilon
+
+
+def _wright_omega(x: float) -> float:
+    """Wright omega of a real x: the w with w + ln w = x (w e^w = e^x).
+
+    The real path of Lawrence, Corless and Jeffrey, "Algorithm 917: Complex
+    double-precision evaluation of the Wright omega function", ACM TOMS
+    38(3), 2012, operation for operation as scipy's `wrightomega` takes it,
+    so it gives the same bits: omega(-inf) = 0, e^x below -50, x above 1e20,
+    else one Fritsch-Shafer-Crowley step from a start value per interval
+    and a second one where the condition estimate asks for it.
+    """
+    if math.isinf(x):
+        return x if x > 0 else 0.0
+    if x < -50.0:
+        return math.exp(x)
+    if x > 1e20:
+        return x
+    if x < -2.0:
+        w = math.exp(x)
+    elif x < 1.0:
+        w = math.exp(2.0 * (x - 1.0) / 3.0)
+    else:
+        w = math.log(x)
+        w = x - w + w / x
+    for _ in range(2):
+        r = x - w - math.log(w)
+        wp1 = w + 1.0
+        q = 2.0 * wp1 * (wp1 + 2.0 / 3.0 * r)
+        w *= 1.0 + r / wp1 * (q - r) / (q - 2.0 * r)
+        if not abs((2.0 * w * w - 8.0 * w - 1.0) * abs(r) ** 4.0) >= _EPS * 72.0 * abs(wp1) ** 6.0:
+            break
+    return w
+
+
 def solve_stationarity_snr(absorption_exponent):
     """The unique xi > 0 with ln(1+xi)(1+xi)/xi = b, b = 2 + absorption_exponent.
 
     With u = ln(1+xi) the condition reads (u - b) e^(u - b) = -b e^(-b), so
     u = b + W0(-b e^(-b)) on the principal Lambert W branch (the other
-    branch gives the spurious root u = 0). u is clamped at 690, which keeps
-    xi finite and the solution monotone for physically absurd exponents.
-    Accepts a scalar or an array of nonnegative exponents d*k_abs.
+    branch gives the spurious root u = 0); `_lambert_w0` evaluates it. u is
+    clamped at 690, which keeps xi finite and the solution monotone for
+    physically absurd exponents: W0 >= -0.41 here, so every b >= 691 is
+    clamped, and b is capped at 691 first, which also takes +inf with no
+    inf * 0. Accepts a scalar or an array of nonnegative exponents d*k_abs;
+    ValueError for a negative or NaN one.
     """
     a = np.asarray(absorption_exponent, dtype=float)
-    if np.any(a < 0):
+    if not np.all(a >= 0):  # NaN fails too
         raise ValueError("absorption exponent must be >= 0")
-    b = 2.0 + a
-    u = np.minimum(b + lambertw(-b * np.exp(-b)).real, 690.0)
-    xi = np.expm1(u)
+    b = np.minimum(2.0 + a, 691.0)
+    xi = np.expm1(np.minimum(b + _lambert_w0(-b * np.exp(-b)), 690.0))
     return float(xi) if np.isscalar(absorption_exponent) else xi
+
+
+_XI_STAT_0 = solve_stationarity_snr(0.0)
 
 
 def _log_snr(log_power, frequency, k_abs, distance, bandwidth, params):
@@ -175,8 +255,7 @@ def optimal_distance_pair(power, frequency, k_abs, bandwidth: float, params: Lin
         g = _log_snr(log_p, f, k, d, bandwidth, params) - np.log(xi)
         return g, -(2.0 + x) - x / (1.0 - np.log1p(xi) / xi)  # no x * xi overflow
 
-    xi_0 = solve_stationarity_snr(0.0)
-    t0 = 0.5 * (log_p - math.log(xi_0) - log_inverse_gain(f, 0.0, 1.0, bandwidth, params))
+    t0 = 0.5 * (log_p - math.log(_XI_STAT_0) - log_inverse_gain(f, 0.0, 1.0, bandwidth, params))
     d = np.exp(_newton_descent(gap, t0, "optimal distance"))
     xi = np.exp(_log_snr(log_p, f, k, d, bandwidth, params))
     residual = np.abs(stationarity_lhs(xi) - (2.0 + k * d)).max()
@@ -215,7 +294,7 @@ def max_distance(
     c = log_p - log_xi_req - log_inverse_gain(f, 0.0, 1.0, bandwidth, params)
     with np.errstate(divide="ignore"):
         z = np.where(k > 0, np.log(k / 2.0) + c / 2.0, -np.inf)
-    d = np.exp(c / 2.0 - wrightomega(z).real)
+    d = np.exp(c / 2.0 - np.array([_wright_omega(x) for x in z.tolist()]))
     return float(d[0]) if scalar else d
 
 
@@ -496,6 +575,7 @@ def iterate_power_distance(
     d = np.full(len(f), float(config.d_init)) if d0 is None else np.asarray(d0, dtype=float).copy()
 
     log_xi_req = np.where(req > 0, np.log(floor_snr(np.maximum(req, 1e-300), bandwidth)), -np.inf)
+    xi_req = np.exp(log_xi_req)
     log_g = log_inverse_gain(f, k, d, bandwidth, params)
     tc_history: list[float] = []
     # No overflow warnings: at an extreme budget a sum of powers that
@@ -504,7 +584,7 @@ def iterate_power_distance(
     with np.errstate(over="ignore"):
         for it in range(1, config.max_inner + 1):
             pinned, xi_tilde = _pin_masks(d, k, req, bandwidth)
-            xi = np.where(pinned, np.exp(log_xi_req), xi_tilde)
+            xi = np.where(pinned, xi_req, xi_tilde)
             log_c = np.log(xi) + log_g - 2.0 * np.log(d)  # p_k = c_k d_k^2 at frozen absorption
             d_hat, _nu = _dual_step(log_c, xi, params.p_total)
             d_new = config.alpha * d + (1.0 - config.alpha) * d_hat

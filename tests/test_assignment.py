@@ -356,3 +356,16 @@ def test_import_loads_no_scipy_optimize():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_scipy_special():
+    """The same fresh import loads no `scipy.special` module: the Lambert W0
+    and Wright omega kernels are the package's own."""
+    src = os.path.dirname(os.path.dirname(assignment.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, tera_tc, tera_tc.cli, tera_tc.experiments; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'special']))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
+from scipy.special import lambertw, wrightomega
 
 from tera_tc.channel import LinkParams, bundled_absorption_table, log_inverse_gain
 from tera_tc.distance_power import (
@@ -607,3 +609,101 @@ def test_brentq_matches_scipy_bit_for_bit(case):
         return sign * g((x - root) / scale)
 
     assert _brent_outcome(dp.brentq, f, a, b, kwargs) == _brent_outcome(scipy_brentq, f, a, b, kwargs)
+
+
+def _scipy_stationarity_snr(exponent: float) -> float:
+    """The closed form through scipy's `lambertw`, clamped at u = 690; +inf,
+    where -b e^(-b) is inf * 0, is the clamp value."""
+    if exponent == math.inf:
+        return math.expm1(690.0)
+    b = 2.0 + exponent
+    return math.expm1(min(b + lambertw(-b * math.exp(-b)).real, 690.0))
+
+
+#: Every exponent k d a caller can pass: tiny, the physical range, the
+#: clamp's neighbourhood, huge and +inf.
+STATIONARITY_EXPONENTS = st.one_of(
+    st.floats(0.0, 1e-6),
+    st.floats(0.0, 50.0),
+    st.floats(600.0, 800.0),
+    st.floats(0.0, math.inf),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(STATIONARITY_EXPONENTS, min_size=1, max_size=16))
+@example([0.0, 686.0, 700.0, 1e300, math.inf])
+@example([5e-324, 688.5, 689.0, 690.0, 691.0])
+def test_stationarity_kernel_matches_scipy_lambertw(exponents):
+    """Scalar and array calls stay within 2e-15 of scipy's W0 closed form."""
+    want = np.array([_scipy_stationarity_snr(a) for a in exponents])
+    got = solve_stationarity_snr(np.array(exponents))
+    assert np.all(np.abs(got - want) <= 2e-15 * want)
+    for a, w in zip(exponents, want):
+        assert abs(solve_stationarity_snr(a) - w) <= 2e-15 * w
+
+
+def test_w0_table_nodes_solve_w_exp_w():
+    """Every node of the start table has w e^w within one ulp of its z, on
+    the whole interval [-2 e^-2, 0] the stationarity condition reaches."""
+    z, w = dp._W0_Z, dp._W0_W
+    assert z[0] == -2.0 * math.exp(-2.0) and z[-1] == 0.0
+    assert np.all(np.diff(z) > 0) and np.all(np.diff(w) > 0)
+    assert np.all(np.abs(w * np.exp(w) - z) <= np.spacing(np.abs(z)))
+
+
+#: The Wright omega arguments ln(k/2) + C/2 of `max_distance`, from k = 0
+#: (-inf) up to 1e20, with the kernel's interval ends.
+OMEGA_ARGS = st.one_of(st.floats(-60.0, 60.0), st.floats(max_value=1e20, allow_nan=False))
+
+
+@settings(max_examples=500, deadline=None)
+@given(OMEGA_ARGS)
+@example(-math.inf)
+@example(-50.0)
+@example(math.nextafter(-50.0, -math.inf))
+@example(-2.0)
+@example(1.0)
+@example(1e20)
+@example(-745.5)  # e^x underflows to 0
+def test_wright_omega_kernel_matches_scipy_bit_for_bit(x):
+    assert dp._wright_omega(x).hex() == float(wrightomega(x)).hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(-30.0, 40.0),  # power, dBm
+            st.floats(0.1, 30.0),  # floor, bps/Hz
+            st.floats(5e11, 6e11),
+            st.one_of(st.just(0.0), st.floats(1e-6, 50.0)),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_max_distance_bit_identical_to_scipy_wrightomega(devices):
+    """`max_distance` with the kernel gives the bits it gives with scipy's
+    `wrightomega` in its place, k = 0 included."""
+    params = make_params()
+    p_dbm, eta, f, k = (np.array(c) for c in zip(*devices))
+    args = (dbm_to_watts(p_dbm), eta * 1e9, f, k, 1e9, params, 1e-300)
+    got = max_distance(*args)
+    with mock.patch.object(dp, "_wright_omega", lambda x: float(wrightomega(x))):
+        want = max_distance(*args)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_stationarity_inf_is_the_clamp_and_nan_is_rejected():
+    """+inf gives the clamp value expm1(690) as 1e300 does, NaN the negative
+    exponent's ValueError; neither prints a numpy warning."""
+    clamp = math.expm1(690.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_stationarity_snr(math.inf) == clamp == solve_stationarity_snr(1e300)
+        got = solve_stationarity_snr(np.array([math.inf, 1e300, 0.0]))
+        assert np.array_equal(got, [clamp, clamp, solve_stationarity_snr(0.0)])
+        for bad in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="absorption exponent"):
+                solve_stationarity_snr(bad)
