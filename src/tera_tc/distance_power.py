@@ -61,6 +61,10 @@ class SolverConfig:
     an absolute 1e-6 m*bps would never trigger at realistic TC magnitudes.
     Needs m_out, max_inner and enum_cap >= 1, 0 <= alpha < 1, finite
     d_init > 0, finite d_min > 0 and finite eps >= 0.
+
+    Operating range: 20-60 dBm total power, 0.5-4 bps/Hz floors, K = N <=
+    1000 over the default 500-600 GHz band. `proposed` does not converge
+    over all of it yet: it raises `ConvergenceError` at 57.5 and 60 dBm.
     """
 
     alpha: float = 0.7
@@ -577,6 +581,7 @@ def iterate_power_distance(
     log_xi_req = np.where(req > 0, np.log(floor_snr(np.maximum(req, 1e-300), bandwidth)), -np.inf)
     xi_req = np.exp(log_xi_req)
     log_g = log_inverse_gain(f, k, d, bandwidth, params)
+    log_d = np.log(d)
     tc_history: list[float] = []
     # No overflow warnings: at an extreme budget a sum of powers that
     # overflows, like a dual sum that under- or overflows, is taken again in
@@ -585,10 +590,11 @@ def iterate_power_distance(
         for it in range(1, config.max_inner + 1):
             pinned, xi_tilde = _pin_masks(d, k, req, bandwidth)
             xi = np.where(pinned, xi_req, xi_tilde)
-            log_c = np.log(xi) + log_g - 2.0 * np.log(d)  # p_k = c_k d_k^2 at frozen absorption
+            log_c = np.log(xi) + log_g - 2.0 * log_d  # p_k = c_k d_k^2 at frozen absorption
             d_hat, _nu = _dual_step(log_c, xi, params.p_total)
             d_new = config.alpha * d + (1.0 - config.alpha) * d_hat
-            log_p = log_c + 2.0 * np.log(d_new)
+            log_d = np.log(d_new)
+            log_p = log_c + 2.0 * log_d
             # Smoothing can transiently overshoot the budget the dual enforced
             # for d_hat; scale the reported powers back onto it. The distance
             # dynamics are unaffected and restore equality at the fixed point.

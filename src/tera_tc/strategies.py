@@ -24,7 +24,7 @@ from .assignment import (
     check_assignment,
     hungarian_assign,
 )
-from .channel import LN2, BandPlan, LinkParams, exp_inverse_gain, log_inverse_gain, shannon_rate
+from .channel import LN2, BandPlan, LinkParams, exp_inverse_gain, floor_snr, log_inverse_gain, shannon_rate
 from .distance_power import (
     InfeasibleError,
     IterState,
@@ -66,6 +66,11 @@ class Scenario:
             raise ValueError(
                 f"{len(self.devices)} devices exceed {self.band.n} subwindows"
             )
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero(~np.isfinite(floor_snr(self.rate_reqs, self.band.bandwidth)))
+        if bad.size:
+            r = self.devices[bad[0]].rate_req / self.band.bandwidth
+            raise ValueError(f"device {bad[0]}: rate_req of {r:g} bps/Hz overflows its floor SNR 2^(r/W) - 1")
 
     @property
     def n_devices(self) -> int:
@@ -222,9 +227,7 @@ def sum_rate_max(scenario: Scenario) -> Allocation:
     return _fixed_distance_stack(scenario, d, weighted=False, name="sum_rate")[0]
 
 
-def _alloc_from_state(
-    scenario: Scenario, name: str, n_of_k: np.ndarray, state: IterState, iterations: int
-) -> Allocation:
+def _alloc_from_state(name: str, n_of_k: np.ndarray, state: IterState) -> Allocation:
     return Allocation(
         strategy=name,
         subwindows=np.asarray(n_of_k, dtype=int).copy(),
@@ -232,7 +235,7 @@ def _alloc_from_state(
         distances=state.distances.copy(),
         rates=state.rates.copy(),
         regimes=[r.value for r in state.regimes],
-        iterations=iterations,
+        iterations=state.iterations,
     )
 
 
@@ -266,7 +269,7 @@ def proposed_tc_max(scenario: Scenario) -> Allocation:
         state = _inner_solve(scenario, n_of_k, d0=d)
         total_inner += state.iterations
         if best is None or state.tc > best.tc:
-            best = _alloc_from_state(scenario, "proposed", n_of_k, state, total_inner)
+            best = _alloc_from_state("proposed", n_of_k, state)
         d, p = state.distances, state.powers
     best.iterations = total_inner
     audit_allocation(best, scenario, check_rate_floors=True)
@@ -353,9 +356,7 @@ def exhaustive_tc_max(scenario: Scenario) -> Allocation:
         n_of_k = np.array(perm, dtype=int)
         state = _inner_solve(scenario, n_of_k)
         if best is None or state.tc > best.tc:
-            best = _alloc_from_state(
-                scenario, "exhaustive", n_of_k, state, state.iterations
-            )
+            best = _alloc_from_state("exhaustive", n_of_k, state)
     audit_allocation(best, scenario, check_rate_floors=True)
     return best
 

@@ -286,3 +286,17 @@ def test_strategy_listed_twice_exits_2_in_validate_and_run(tmp_path, capsys, kin
     want = "error: experiment.strategies: 'distmax' listed twice\n"
     assert capsys.readouterr().err == want * 2
     assert not out.exists()
+
+
+def test_rate_floor_whose_snr_overflows_exits_2_in_validate_and_run(tmp_path, capsys):
+    doc = _default_doc()
+    doc["devices"][0]["rate_req_bps_per_hz"] = 1100.0
+    spec = tmp_path / "scenario.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--spec", str(spec)]) == 2
+        assert main(["run", "--spec", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("error: devices: device 0: ") == 2
+    assert not out.exists()

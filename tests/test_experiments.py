@@ -536,6 +536,22 @@ class TestCdfFile:
         assert rows
         self.assert_same_bytes(rows, written)
 
+    @pytest.mark.parametrize("k, trials", [(1, 1), (3, 1), (1, 4), (2, 2), (4, 2), (3, 5)])
+    def test_file_matches_dict_writer_past_a_groups_first_block(self, tmp_path, k, trials):
+        # Blocks of 3 rates: groups of 1, 3, 4, 8 and 15 rates end inside,
+        # at the end of, just past and well past their first block.
+        sc = small_scenario(n=4, fixed=[1.0] * k)
+        spec = ExperimentSpec(
+            kind="cdf_fixed_distance", grid=(5.0, 20.0), trials=trials, seed=7, strategies=("tc_fixed", "sum_rate")
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_WRITE_BLOCK", 3)
+            rows, written = self.run_both(sc, spec, tmp_path)
+        groups = [(row["radius_m"], row["strategy"]) for row in rows]
+        assert {groups.count(g) for g in groups} == {k * trials}
+        assert len(set(groups)) == 4
+        self.assert_same_bytes(rows, written)
+
     def test_group_whose_every_trial_fails_writes_no_rows(self, tmp_path):
         # One device on four subwindows: a drop past ~14 km kills its every
         # channel. At 1000 km every trial fails, at 30 km some do.

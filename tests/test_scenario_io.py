@@ -2,11 +2,13 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from tera_tc.channel import bundled_absorption_table
+from tera_tc.distance_power import SolverConfig
 from tera_tc.scenario import (
     KINDS,
     ExperimentSpec,
@@ -285,3 +287,43 @@ def test_missing_strategies_default_to_the_spec_default():
 def test_strategy_listed_twice_rejected_for_every_kind(kind):
     with pytest.raises(ScenarioError, match=r"^experiment\.strategies: 'distmax' listed twice$"):
         ExperimentSpec(kind=kind, grid=(1.0,), strategies=("distmax", "distmax"))
+
+
+def test_scenario_to_dict_key_names_and_order():
+    """The canonical file's keys, in order, at every level; tuples are
+    written as lists."""
+    scenario, spec = default_scenario()
+    doc = scenario_to_dict(scenario, spec)
+    assert list(doc) == ["band", "link_params", "devices", "solver", "experiment"]
+    assert list(doc["band"]) == ["subwindows"]
+    assert len(doc["band"]["subwindows"]) == 100
+    for row in doc["band"]["subwindows"]:
+        assert list(row) == ["frequency_hz", "bandwidth_hz", "k_abs_per_m"]
+    assert list(doc["link_params"]) == ["gt_linear", "gr_linear", "n0_w_per_hz", "p_total_w", "c_m_per_s"]
+    assert len(doc["devices"]) == 100
+    for row in doc["devices"]:
+        assert list(row) == ["rate_req_bps", "fixed_distance_m"]
+    assert list(doc["solver"]) == [
+        "alpha", "eps", "eps_relative", "m_out", "d_init_m", "max_inner", "d_min_m", "enum_cap"
+    ]
+    assert list(doc["experiment"]) == ["kind", "grid", "trials", "seed", "strategies"]
+    assert doc["experiment"]["grid"] == [20.0, 25.0, 30.0, 35.0, 40.0]
+    assert doc["experiment"]["strategies"] == ["proposed", "distmax", "nonadaptive"]
+
+
+def test_omitted_solver_and_experiment_fields_take_the_dataclass_defaults():
+    doc = minimal_doc()
+    doc["experiment"] = {"kind": "tc_vs_power", "grid": [30.0]}
+    scenario, spec = scenario_from_dict(doc)
+    assert scenario.config == SolverConfig()
+    assert spec == ExperimentSpec(kind="tc_vs_power", grid=(30.0,))
+
+
+def test_rate_floor_whose_snr_overflows_names_devices():
+    doc = minimal_doc(devices=[{"count": 2, "rate_req_bps_per_hz": 1.0}, {"rate_req_bps_per_hz": 1100.0}])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match=r"^devices: device 2: rate_req of 1100 bps/Hz "):
+            scenario_from_dict(doc)
+        doc["devices"][1]["rate_req_bps_per_hz"] = 1023.0
+        assert scenario_from_dict(doc)[0].n_devices == 3

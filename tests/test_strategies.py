@@ -599,3 +599,18 @@ def test_fixed_distance_block_holds_two_link_budget_arrays(weighted):
     sc.band.frequencies, sc.band.k_abs  # built once, outside the trace
     peak = _traced_peak(strategies._fixed_distance_stack, sc, d, weighted, "x")
     assert peak <= 2.5 * t * k * n * 8
+
+
+def test_rate_floor_whose_snr_overflows_is_rejected():
+    """2^(r/W) - 1 overflows a float past r/W = 1024 bps/Hz; the scenario
+    names the first device whose floor does, with no numpy warning."""
+    band = uniform_band(5e11, 5.1e11, 4, bundled_absorption_table())
+    w = band.bandwidth
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Scenario(band=band, params=make_params(), devices=(DeviceSpec(rate_req=1023 * w),)).n_devices == 1
+        message = r"^device 1: rate_req of \S+ bps/Hz overflows its floor SNR 2\^\(r/W\) - 1$"
+        for r in (1024.001, 1100, 1e290):
+            devices = (DeviceSpec(rate_req=w), DeviceSpec(rate_req=r * w), DeviceSpec(rate_req=2 * r * w))
+            with pytest.raises(ValueError, match=message):
+                Scenario(band=band, params=make_params(), devices=devices)
