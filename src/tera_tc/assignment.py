@@ -49,15 +49,19 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 #: Default cap on the number of injections exhaustive_assign may enumerate.
 ENUM_CAP = 10_000_000
 
 
 def _lsap_file() -> str | None:
-    """Path of scipy's compiled `scipy.optimize._lsap` extension, or None."""
-    directory = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+    """Path of scipy's compiled `scipy.optimize._lsap` extension, or None.
+    scipy's directory comes from its import spec, so `scipy/__init__.py`
+    does not run."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    directory = os.path.join(spec.submodule_search_locations[0], "optimize")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(directory, "_lsap" + suffix)
         if os.path.isfile(path):

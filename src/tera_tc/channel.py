@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 
 import numpy as np
@@ -213,6 +213,12 @@ def rate_distance_product(link: Link, params: LinkParams):
     return link.distance * rate(link, params)
 
 
+def _nanmin(x: np.ndarray) -> float:
+    """The smallest non-NaN element of x; +inf when there is none, so that
+    `_nanmin(x) <= 0` is exactly `(x <= 0).any()`."""
+    return np.fmin.reduce(x, axis=None, initial=math.inf)
+
+
 def log_inverse_gain(frequency, k_abs, distance, bandwidth, params: LinkParams):
     """Natural log of the effective inverse gain
     sigma^2 * e^{k_abs d} * (4 pi f d / c)^2 / (Gt Gr), in log-W.
@@ -229,15 +235,26 @@ def log_inverse_gain(frequency, k_abs, distance, bandwidth, params: LinkParams):
     so the in-place form gives the same bits as the plain expression; the
     terms keep their grouping. The inputs are never written to; 0-d inputs
     give an np.float64.
+
+    Nothing is kept between calls, and `distance_power.iterate_power_distance`
+    calls it once per inner iteration with the same f and k_abs, so each
+    call is lean: each input's domain check is one NaN-ignoring reduction
+    (NaN passes, as it always has), and 1-D inputs of one shape, that
+    loop's case, skip the broadcast and build the spreading term in the
+    array of 4 pi f.
     """
     frequency = np.asarray(frequency, dtype=float)
     distance = np.asarray(distance, dtype=float)
     k_abs = np.asarray(k_abs, dtype=float)
-    if (frequency <= 0).any() or (distance <= 0).any() or (k_abs < 0).any():
+    if _nanmin(frequency) <= 0 or _nanmin(distance) <= 0 or _nanmin(k_abs) < 0:
         raise DomainError("log_inverse_gain requires f > 0, d > 0, k_abs >= 0")
     sigma2 = noise_power(bandwidth, params)
-    shape = np.broadcast(frequency, k_abs, distance).shape
-    log_g = np.multiply(4.0 * np.pi * frequency, distance, out=np.empty(shape))
+    if frequency.ndim == 1 and frequency.shape == distance.shape == k_abs.shape:
+        log_g = 4.0 * np.pi * frequency
+        log_g *= distance
+    else:
+        shape = np.broadcast(frequency, k_abs, distance).shape
+        log_g = np.multiply(4.0 * np.pi * frequency, distance, out=np.empty(shape))
     log_g /= params.c
     np.log(log_g, out=log_g)
     log_g *= 2.0
@@ -333,8 +350,16 @@ def bundled_absorption_table() -> AbsorptionTable:
     """The synthetic 495-605 GHz table shipped with the package.
 
     A flat ~0.05/m baseline with a Gaussian peak at 555 GHz; a stand-in for
-    measured coefficients so that tests and demos are self-contained.
+    measured coefficients so that tests and demos are self-contained. The
+    CSV is parsed once; every call returns that table, whose arrays are
+    read-only so that no caller can change another's.
     """
+    return _parse_bundled_table()
+
+
+@cache
+def _parse_bundled_table() -> AbsorptionTable:
     path = resources.files("tera_tc").joinpath("data/absorption_495_605ghz.csv")
     with resources.as_file(path) as p:
-        return AbsorptionTable.from_csv(p)
+        table = AbsorptionTable.from_csv(p)
+    return AbsorptionTable(_read_only(table.frequencies), _read_only(table.k_abs))

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import ENUM_CAP
-from .channel import D_MIN, LinkParams, floor_snr, log_inverse_gain, shannon_rate
+from .channel import D_MIN, LN2, LinkParams, floor_snr, log_inverse_gain, shannon_rate
 
 
 class ConvergenceError(RuntimeError):
@@ -116,10 +116,22 @@ def stationarity_lhs(xi):
 
 def _halley_w0_step(w, z):
     """The real Halley step for w e^w = z at w > -1 (Corless et al. 1996,
-    section 5): f / (e^w (w+1) - (w+2) f / (2w+2)), f = w e^w - z."""
+    section 5): f / (e^w (w+1) - (w+2) f / (2w+2)), f = w e^w - z.
+
+    w + 1 is taken once (2w + 2 = 2 (w + 1) bit for bit, as doubling is
+    exact) and the operations run in place on the step's own temporaries;
+    augmented assignment rebinds where w is a numpy scalar."""
     ew = np.exp(w)
-    f = w * ew - z
-    return f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+    f = w * ew
+    f -= z
+    wp1 = w + 1.0
+    ew *= wp1
+    correction = w + 2.0
+    correction *= f
+    correction /= 2.0 * wp1
+    ew -= correction
+    f /= ew
+    return f
 
 
 def _w0_table():
@@ -145,7 +157,8 @@ def _lambert_w0(z):
     The start value, linear in the `_W0_Z`/`_W0_W` table, is within 4e-8;
     one Halley step, cubically convergent, leaves rounding error only."""
     w = np.interp(z, _W0_Z, _W0_W)
-    return w - _halley_w0_step(w, z)
+    w -= _halley_w0_step(w, z)
+    return w
 
 
 _EPS = sys.float_info.epsilon
@@ -194,14 +207,21 @@ def solve_stationarity_snr(absorption_exponent):
     physically absurd exponents: W0 >= -0.41 here, so every b >= 691 is
     clamped, and b is capped at 691 first, which also takes +inf with no
     inf * 0. Accepts a scalar or an array of nonnegative exponents d*k_abs;
-    ValueError for a negative or NaN one.
+    ValueError for a negative or NaN one (an empty array passes). -b is
+    taken once, and W0 and the sum b + W0 share one array.
     """
     a = np.asarray(absorption_exponent, dtype=float)
-    if not np.all(a >= 0):  # NaN fails too
+    if a.size and not a.min() >= 0:  # NaN fails too
         raise ValueError("absorption exponent must be >= 0")
     b = np.minimum(2.0 + a, 691.0)
-    xi = np.expm1(np.minimum(b + _lambert_w0(-b * np.exp(-b)), 690.0))
-    return float(xi) if np.isscalar(absorption_exponent) else xi
+    neg_b = -b
+    z = np.exp(neg_b)
+    z *= neg_b
+    u = _lambert_w0(z)
+    u += b
+    xi = np.expm1(np.minimum(u, 690.0))
+    # Only a 0-d input can be a scalar; ndim spares arrays np.isscalar's ABC check.
+    return float(xi) if a.ndim == 0 and np.isscalar(absorption_exponent) else xi
 
 
 _XI_STAT_0 = solve_stationarity_snr(0.0)
@@ -217,6 +237,11 @@ def _device_arrays(*values):
     scalar = all(np.ndim(v) == 0 for v in values)
     arrays = (np.atleast_1d(np.asarray(v, dtype=float)) for v in values)
     return scalar, np.broadcast_arrays(*arrays)
+
+
+def _finite_positive(x) -> bool:
+    """Whether every element of x is finite and > 0 (NaN is not)."""
+    return bool(np.all((x > 0) & (x < math.inf)))
 
 
 def _newton_descent(fun, t0, what: str) -> np.ndarray:
@@ -248,8 +273,8 @@ def optimal_distance_pair(power, frequency, k_abs, bandwidth: float, params: Lin
     (d, xi) pair of floats, arrays a pair of arrays.
     """
     scalar, (p, f, k) = _device_arrays(power, frequency, k_abs)
-    if not np.all(p > 0):
-        raise ValueError("power must be > 0")
+    if not _finite_positive(p):
+        raise ValueError("power must be finite and > 0")
     log_p = np.log(p)
 
     def gap(t):
@@ -286,8 +311,8 @@ def max_distance(
     fails even at d_min.
     """
     scalar, (p, req, f, k) = _device_arrays(power, rate_req, frequency, k_abs)
-    if not (np.all(p > 0) and np.all(req > 0)):
-        raise ValueError("power and rate_req must be > 0")
+    if not (_finite_positive(p) and _finite_positive(req)):
+        raise ValueError("power and rate_req must be finite and > 0")
     log_xi_req = np.log(floor_snr(req, bandwidth))
     log_p = np.log(p)
     bad = np.flatnonzero(_log_snr(log_p, f, k, d_min, bandwidth, params) < log_xi_req)
@@ -331,6 +356,8 @@ def classify_regime(
     arrays with `regime` a tuple.
     """
     scalar, (p, req, f, k) = _device_arrays(power, rate_req, frequency, k_abs)
+    if not np.all((req >= 0) & (req < math.inf)):  # NaN fails too
+        raise ValueError("rate_req must be finite and >= 0")
     d, xi = optimal_distance_pair(p, f, k, bandwidth, params)
     eta = shannon_rate(xi, 1.0)
     pinned = req > bandwidth * eta
@@ -361,7 +388,7 @@ def thm1_distance_update(
     d, xi, f, k = (np.asarray(a, dtype=float) for a in (distances, xi, frequencies, k_abs))
     log_c = np.log(xi) + log_inverse_gain(f, k, d, bandwidth, params) - 2.0 * np.log(d)
     with np.errstate(over="ignore"):
-        return _dual_step(log_c, xi, params.p_total, nu)
+        return _dual_step(log_c, shannon_rate(xi, 1.0), params.p_total, nu)
 
 
 def _log_sum_exp(x) -> float:
@@ -462,12 +489,12 @@ def max_sum_distance(rate_reqs, frequencies, k_abs, bandwidth: float, params: Li
     g is increasing and convex, so `_newton_descent` from the k = 0 root (an
     upper bound) descends monotonically onto every device's root. Total
     power falls in nu, so `_budget_dual` finds nu with `evaluations` array
-    Newton solves. Powers are scaled onto P_T. A floor that is not > 0
-    raises ValueError, as in `max_distance`.
+    Newton solves. Powers are scaled onto P_T. A floor that is not finite
+    and > 0 raises ValueError, as in `max_distance`.
     """
     req, f, k = (np.asarray(a, dtype=float) for a in (rate_reqs, frequencies, k_abs))
-    if not np.all(req > 0):
-        raise ValueError("max_sum_distance requires rate_req > 0 for all devices")
+    if not _finite_positive(req):
+        raise ValueError("max_sum_distance requires finite rate_req > 0 for all devices")
     log_xi_req = np.log(floor_snr(req, bandwidth))
     base = log_xi_req + log_inverse_gain(f, 0.0, 1.0, bandwidth, params)
 
@@ -487,17 +514,23 @@ def max_sum_distance(rate_reqs, frequencies, k_abs, bandwidth: float, params: Li
     return d, p * (params.p_total / p.sum()), evaluations
 
 
-def _dual_step(log_c, xi, p_total: float, nu: float | None = None):
-    """`thm1_distance_update` from ln(c_k): (d_hat, nu)."""
-    log_num = np.log(shannon_rate(xi, 1.0)) - math.log(2.0)  # ln(log2(1+xi)/2)
+def _dual_step(log_c, spectral_eff, p_total: float, nu: float | None = None):
+    """`thm1_distance_update` from ln(c_k) and the spectral efficiencies
+    log2(1+xi_k) of the SNR targets: (d_hat, nu)."""
+    log_num = np.log(spectral_eff)
+    log_num -= LN2  # ln(log2(1+xi)/2)
     if nu is None:
         # sum_k c_k (log2(1+xi_k)/(2 nu c_k))^2 = P_T  =>  nu^2 = sum/(P_T)
-        nu_sq = np.exp(2.0 * log_num - log_c).sum() / p_total
+        log_terms = 2.0 * log_num
+        log_terms -= log_c
+        nu_sq = np.exp(log_terms).sum() / p_total
         if nu_sq == 0.0 or math.isinf(nu_sq):  # the plain sum under- or overflowed
-            log_nu = 0.5 * (_log_sum_exp(2.0 * log_num - log_c) - math.log(p_total))
+            log_nu = 0.5 * (_log_sum_exp(log_terms) - math.log(p_total))
             return np.exp(log_num - log_c - log_nu), math.exp(log_nu)
         nu = math.sqrt(nu_sq)
-    return np.exp(log_num - log_c - math.log(nu)), nu
+    log_num -= log_c
+    log_num -= math.log(nu)
+    return np.exp(log_num), nu
 
 
 @dataclass
@@ -515,10 +548,12 @@ class IterState:
 
 
 def _pin_masks(distances, k_abs, rate_reqs, bandwidth):
-    """Devices whose rate floor exceeds the stationary spectral efficiency."""
+    """(pinned, xi_tilde, eta_tilde): the devices whose rate floor (an
+    array) exceeds the stationary spectral efficiency eta_tilde =
+    log2(1 + xi_tilde), with the stationary SNRs xi_tilde."""
     xi_tilde = solve_stationarity_snr(k_abs * distances)
-    pinned = np.asarray(rate_reqs) > bandwidth * shannon_rate(xi_tilde, 1.0)
-    return pinned, xi_tilde
+    eta_tilde = shannon_rate(xi_tilde, 1.0)
+    return rate_reqs > bandwidth * eta_tilde, xi_tilde, eta_tilde
 
 
 def _enforce_rate_floors(d, p, snrs, rates, f, k, req, bandwidth, params, d_min):
@@ -532,7 +567,7 @@ def _enforce_rate_floors(d, p, snrs, rates, f, k, req, bandwidth, params, d_min)
     Returns (distances, powers, snrs, rates, pinned mask); `p`, `snrs` and
     `rates` are updated in place.
     """
-    pinned, _ = _pin_masks(d, k, req, bandwidth)
+    pinned = _pin_masks(d, k, req, bandwidth)[0]
     pinned |= rates < req * (1.0 - 1e-12)
     if pinned.any():
         budget_pin = params.p_total - p[~pinned].sum()
@@ -572,43 +607,70 @@ def iterate_power_distance(
     `_enforce_rate_floors` pins the devices whose floors bind or fail: they
     split what the free devices leave of the budget in proportion to their
     powers and sit at `max_distance` (at least `config.d_min`), on their floors.
+
+    Once per solve: the inputs are checked (1-D arrays of one length >= 1;
+    finite frequencies and k_abs, finite floors >= 0 and a finite d0 > 0,
+    else ValueError), and the floors' SNRs xi_req, their spectral
+    efficiencies log2(1+xi_req), alpha, 1 - alpha and ln P_T are built.
+    Once per iteration: the stationary SNRs and their spectral efficiency
+    log2(1+xi~), which serves both the floor mask and the dual step; the
+    pinned devices' targets are selected only when a device is pinned.
+    Each step's temporaries are fresh arrays, updated in place.
     """
     f, k, req = (np.asarray(a, dtype=float) for a in (frequencies, k_abs, rate_reqs))
-    if np.any(req < 0):
-        raise ValueError("rate requirements must be >= 0")
-    d = np.full(len(f), float(config.d_init)) if d0 is None else np.asarray(d0, dtype=float).copy()
+    d = np.full(f.shape, float(config.d_init)) if d0 is None else np.array(d0, dtype=float)
+    if not (f.ndim == 1 and f.size and f.shape == k.shape == req.shape == d.shape):
+        raise ValueError("frequencies, k_abs, rate_reqs and d0 must be 1-D arrays of one length >= 1")
+    if not (np.isfinite(f).all() and np.isfinite(k).all()):
+        raise ValueError("frequencies and k_abs must be finite")
+    if not np.all((req >= 0) & (req < math.inf)):  # NaN fails too
+        raise ValueError("rate requirements must be finite and >= 0")
+    if not _finite_positive(d):
+        raise ValueError("d0 must be finite and > 0")
 
     log_xi_req = np.where(req > 0, np.log(floor_snr(np.maximum(req, 1e-300), bandwidth)), -np.inf)
     xi_req = np.exp(log_xi_req)
+    eta_req = shannon_rate(xi_req, 1.0)
+    alpha, beta = config.alpha, 1.0 - config.alpha
+    p_total = params.p_total
+    log_p_total = math.log(p_total)
     log_g = log_inverse_gain(f, k, d, bandwidth, params)
-    log_d = np.log(d)
+    two_log_d = 2.0 * np.log(d)
     tc_history: list[float] = []
     # No overflow warnings: at an extreme budget a sum of powers that
     # overflows, like a dual sum that under- or overflows, is taken again in
     # log space, and every finite sum is used as before.
     with np.errstate(over="ignore"):
         for it in range(1, config.max_inner + 1):
-            pinned, xi_tilde = _pin_masks(d, k, req, bandwidth)
-            xi = np.where(pinned, xi_req, xi_tilde)
-            log_c = np.log(xi) + log_g - 2.0 * log_d  # p_k = c_k d_k^2 at frozen absorption
-            d_hat, _nu = _dual_step(log_c, xi, params.p_total)
-            d_new = config.alpha * d + (1.0 - config.alpha) * d_hat
-            log_d = np.log(d_new)
-            log_p = log_c + 2.0 * log_d
+            pinned, xi, eta = _pin_masks(d, k, req, bandwidth)
+            if pinned.any():
+                xi = np.where(pinned, xi_req, xi)
+                eta = np.where(pinned, eta_req, eta)
+            log_c = np.log(xi)  # p_k = c_k d_k^2 at frozen absorption
+            log_c += log_g
+            log_c -= two_log_d
+            d_hat, _nu = _dual_step(log_c, eta, p_total)
+            d_hat *= beta
+            d_hat += alpha * d
+            d = d_hat
+            two_log_d = np.log(d)
+            two_log_d *= 2.0
+            log_p = log_c
+            log_p += two_log_d
             # Smoothing can transiently overshoot the budget the dual enforced
             # for d_hat; scale the reported powers back onto it. The distance
             # dynamics are unaffected and restore equality at the fixed point.
             total = np.exp(log_p).sum()
             if math.isinf(total):
-                log_p += math.log(params.p_total) - _log_sum_exp(log_p)
-            elif total > params.p_total:
-                log_p += math.log(params.p_total / total)
+                log_p += log_p_total - _log_sum_exp(log_p)
+            elif total > p_total:
+                log_p += math.log(p_total / total)
             # The new iterate's one link budget: its SNRs and rates here, and
             # the next iteration's power coefficients.
-            log_g = log_inverse_gain(f, k, d_new, bandwidth, params)
-            snrs = np.exp(log_p - log_g)
+            log_g = log_inverse_gain(f, k, d, bandwidth, params)
+            snrs = np.subtract(log_p, log_g)
+            np.exp(snrs, out=snrs)
             rates = shannon_rate(snrs, bandwidth)
-            d = d_new
             tc_history.append(float((d * rates).sum()))
             tol = config.eps * max(1.0, abs(tc_history[-1])) if config.eps_relative else config.eps
             if it > 1 and abs(tc_history[-1] - tc_history[-2]) <= tol:

@@ -29,7 +29,6 @@ import json
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -130,6 +129,8 @@ def _map_jobs(fn, jobs, workers: int):
     the end of a list (the widest CDF radius) spread over every worker.
     """
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs never import multiprocessing
+
         chunksize = max(1, math.ceil(len(jobs) / (_CHUNKS_PER_WORKER * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs, chunksize=chunksize))

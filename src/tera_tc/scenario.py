@@ -98,7 +98,8 @@ def uniform_band(
     edges = np.linspace(f_start, f_stop, n_subwindows + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     w = (f_stop - f_start) / n_subwindows
-    return BandPlan(tuple(Subwindow(float(f), float(w), float(table.lookup(f))) for f in centers))
+    k_abs = table.lookup(centers)
+    return BandPlan(tuple(Subwindow(float(f), float(w), float(k)) for f, k in zip(centers, k_abs)))
 
 
 _MISSING = object()

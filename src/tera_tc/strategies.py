@@ -253,13 +253,16 @@ def proposed_tc_max(scenario: Scenario) -> Allocation:
 
     Outer loop: rebuild the payoff at the current distance/power iterates and
     re-run the Hungarian assignment; inner loop: the smoothed distance-power
-    fixed point. The best-TC iterate over all outer rounds is returned.
+    fixed point. The best-TC iterate over all outer rounds is returned; its
+    `Allocation` is built once, after the last round. No round writes to an
+    earlier round's arrays (`iterate_power_distance` copies `d0`, and
+    `_rate_matrix` only reads), so the best round's are kept as they are.
     """
     cfg = scenario.config
     n_dev = scenario.n_devices
     d = np.full(n_dev, cfg.d_init)
     p = np.full(n_dev, scenario.params.p_total / n_dev)
-    best: Allocation | None = None
+    best_round: tuple[np.ndarray, IterState] | None = None
     total_inner = 0
     for _ in range(cfg.m_out):
         payoff = _rate_matrix(scenario, d, p)
@@ -268,9 +271,10 @@ def proposed_tc_max(scenario: Scenario) -> Allocation:
         del payoff  # freed before the next round builds its link budget
         state = _inner_solve(scenario, n_of_k, d0=d)
         total_inner += state.iterations
-        if best is None or state.tc > best.tc:
-            best = _alloc_from_state("proposed", n_of_k, state)
+        if best_round is None or state.tc > best_round[1].tc:
+            best_round = n_of_k, state
         d, p = state.distances, state.powers
+    best = _alloc_from_state("proposed", *best_round)
     best.iterations = total_inner
     audit_allocation(best, scenario, check_rate_floors=True)
     return best
