@@ -4,13 +4,15 @@ The scenario JSON has sections `band`, `link_params`, `devices`, `solver`,
 and `experiment`. Logarithmic inputs (dBi gains, dBm powers, dBm/Hz noise
 density) are accepted and converted to linear units on load; saving always
 emits the canonical linear form, so a save/load round trip is bit-exact.
+Every value is read through `_typed`, which checks its JSON type, so a
+mistyped value fails as a ScenarioError naming its section and key.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -32,7 +34,7 @@ class ScenarioError(ValueError):
 _DBM_POWERS = ("total powers in dBm, finite and > 0 in W", lambda x: 0 < dbm_to_watts(x) < math.inf)
 KINDS = {
     "tc_vs_power": (_DBM_POWERS, "devices.csv"),
-    "tc_vs_devices": (("whole device counts >= 1", lambda x: x >= 1 and float(x).is_integer()), "devices.csv"),
+    "tc_vs_devices": (("whole device counts >= 1", lambda x: x >= 1 and x % 1 == 0), "devices.csv"),
     "cdf_fixed_distance": (("cell radii in m, > 0", lambda x: x > 0), "cdf.csv"),
     "loss_distance_vs_frequency": (None, "subwindows.csv"),
     "rate_distance_tradeoff": (None, "scatter.csv"),
@@ -114,37 +116,25 @@ _KEYS = {
 }
 
 
-@functools.cache
-def _writer(cls):
-    """Writes a sequence of `cls` instances as JSON objects, tuples as lists.
-    Compiled once per class, like a dataclass `__init__`: a list of dict
-    displays runs twice as fast as a comprehension over the fields."""
-    items = (
-        f"{_KEYS.get(f.name, f.name)!r}: {'list' if 'tuple' in str(f.type) else ''}(obj.{f.name})"
-        for f in fields(cls)
-    )
-    return eval(f"lambda objs: [{{{', '.join(items)}}} for obj in objs]")
-
-
-def _to_json(obj) -> dict:
-    return _writer(type(obj))((obj,))[0]
-
-
-def _int(value, key: str) -> int:
-    """`value` as an int; ValueError naming `key` unless it is a whole number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
-        raise ValueError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def _bool(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-#: How a solver field is read, by the type of its default.
-_READ = {bool: _bool, int: _int, float: lambda value, key: float(value)}
+def _typed(value, kind: type, key: str):
+    """The JSON `value` of `key` read as a `kind`, the one way a raw value
+    becomes a field value; ValueError naming `key` unless its JSON type fits.
+    A float is any JSON number in float range (`1e400` reads as inf, for the
+    dataclasses' finiteness checks to name), an int a number with no
+    fraction, a bool or str only itself, and a tuple a list of numbers."""
+    if kind is tuple:
+        if type(value) is not list:
+            raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+        return tuple(_typed(x, float, f"{key}[{i}]") for i, x in enumerate(value))
+    if kind is bool or kind is str:
+        if type(value) is not kind:
+            raise ValueError(f"{key} must be {'true or false' if kind is bool else 'a string'}, got {value!r}")
+        return value
+    if type(value) is int and abs(value) > sys.float_info.max:
+        raise ValueError(f"{key} must be within float range, got a {len(str(abs(value)))}-digit integer")
+    if type(value) not in (int, float) or kind is int and value % 1:
+        raise ValueError(f"{key} must be {'a whole number' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
 
 
 def _object(value, context: str) -> dict:
@@ -153,12 +143,18 @@ def _object(value, context: str) -> dict:
     return value
 
 
-def _get(section: dict, context: str, key: str, default=_MISSING):
+def _get(section: dict, context: str, key: str, kind: type, default=_MISSING):
+    """`section[key]` read as a `kind` (see `_typed`), else `default`."""
     if key in _object(section, context):
-        return section[key]
+        return _typed(section[key], kind, key)
     if default is _MISSING:
         raise ScenarioError(f"{context}: missing required field {key!r}")
     return default
+
+
+#: A generated band's subwindow cap, 1000x the operating range (N <= 1000),
+#: checked before `uniform_band` allocates anything.
+_MAX_SUBWINDOWS = 1_000_000
 
 
 def _parse_band(section: dict) -> BandPlan:
@@ -168,33 +164,32 @@ def _parse_band(section: dict) -> BandPlan:
         subs = []
         keys = [_KEYS.get(f.name, f.name) for f in fields(Subwindow)]
         for i, row in enumerate(section["subwindows"]):
-            subs.append(Subwindow(*(float(_get(row, f"band.subwindows[{i}]", key)) for key in keys)))
+            subs.append(Subwindow(*(_get(row, f"band.subwindows[{i}]", key, float) for key in keys)))
         return BandPlan(tuple(subs))
-    table_ref = _get(section, "band", "absorption_table", default="bundled")
+    f_start = _get(section, "band", "f_start_hz", float)
+    f_stop = _get(section, "band", "f_stop_hz", float)
+    n_subwindows = _get(section, "band", "n_subwindows", int)
+    if n_subwindows > _MAX_SUBWINDOWS:
+        raise ValueError(f"n_subwindows must be <= {_MAX_SUBWINDOWS:,}, got {n_subwindows:,}")
+    table_ref = _get(section, "band", "absorption_table", str, "bundled")
     try:
         table = bundled_absorption_table() if table_ref == "bundled" else AbsorptionTable.from_csv(table_ref)
     except OSError as exc:
         raise ScenarioError(f"band: absorption_table {table_ref!r}: {exc.strerror or exc}") from exc
-    return uniform_band(
-        float(_get(section, "band", "f_start_hz")),
-        float(_get(section, "band", "f_stop_hz")),
-        _int(_get(section, "band", "n_subwindows"), "n_subwindows"),
-        table,
-    )
+    return uniform_band(f_start, f_stop, n_subwindows, table)
 
 
 def _parse_link_params(section: dict) -> LinkParams:
+    ctx = "link_params"
     if "gt_linear" in section:
-        gt = float(section["gt_linear"])
-        gr = float(_get(section, "link_params", "gr_linear"))
+        gt, gr = (_get(section, ctx, key, float) for key in ("gt_linear", "gr_linear"))
     else:
-        gt = float(db_to_linear(_get(section, "link_params", "gain_tx_dbi")))
-        gr = float(db_to_linear(_get(section, "link_params", "gain_rx_dbi")))
-    key = _KEYS["n0"]
-    n0 = float(section[key] if key in section else dbm_to_watts(_get(section, "link_params", "noise_psd_dbm_per_hz")))
-    key = _KEYS["p_total"]
-    p_total = float(section[key] if key in section else dbm_to_watts(_get(section, "link_params", "p_total_dbm")))
-    c = float(_get(section, "link_params", _KEYS["c"], default=LinkParams.c))
+        gt, gr = (float(db_to_linear(_get(section, ctx, key, float))) for key in ("gain_tx_dbi", "gain_rx_dbi"))
+    n0, p_total = (
+        _get(section, ctx, key, float) if key in section else float(dbm_to_watts(_get(section, ctx, dbm, float)))
+        for key, dbm in ((_KEYS["n0"], "noise_psd_dbm_per_hz"), (_KEYS["p_total"], "p_total_dbm"))
+    )
+    c = _get(section, ctx, _KEYS["c"], float, LinkParams.c)
     return LinkParams(gt_linear=gt, gr_linear=gr, n0=n0, p_total=p_total, c=c)
 
 
@@ -206,7 +201,7 @@ def _parse_devices(entries, bandwidth: float, n_subwindows: int) -> tuple[Device
     devices = []
     for i, row in enumerate(entries):
         ctx = f"devices[{i}]"
-        count = _int(_object(row, ctx).get("count", 1), "count")
+        count = _get(row, ctx, "count", int, 1)
         if count < 1:
             raise ScenarioError(f"{ctx}.count: must be >= 1")
         if len(devices) + count > n_subwindows:
@@ -214,14 +209,15 @@ def _parse_devices(entries, bandwidth: float, n_subwindows: int) -> tuple[Device
                 f"{ctx}.count: {len(devices) + count} devices exceed {n_subwindows} subwindows"
             )
         if _KEYS["rate_req"] in row:
-            req = float(row[_KEYS["rate_req"]])
+            req = _get(row, ctx, _KEYS["rate_req"], float)
         elif "rate_req_bps_per_hz" in row:
-            req = float(row["rate_req_bps_per_hz"]) * bandwidth
+            req = _get(row, ctx, "rate_req_bps_per_hz", float) * bandwidth
         else:
             req = DeviceSpec.rate_req
-        dist = row.get(_KEYS["fixed_distance"])
+        key = _KEYS["fixed_distance"]
+        dist = None if row.get(key) is None else _get(row, ctx, key, float)
         try:
-            dev = DeviceSpec(rate_req=req, fixed_distance=None if dist is None else float(dist))
+            dev = DeviceSpec(rate_req=req, fixed_distance=dist)
         except ValueError as exc:
             raise ScenarioError(f"{ctx}: {exc}") from exc
         devices.extend([dev] * count)
@@ -231,8 +227,10 @@ def _parse_devices(entries, bandwidth: float, n_subwindows: int) -> tuple[Device
 def _parse_solver(section: dict) -> SolverConfig:
     """Unknown keys are ignored, so older files that still carry the retired
     `seed` and `bisect_rel_tol` keys load unchanged."""
-    keys = [(f, _KEYS.get(f.name, f.name)) for f in fields(SolverConfig)]
-    return SolverConfig(**{f.name: _READ[type(f.default)](section.get(key, f.default), key) for f, key in keys})
+    return SolverConfig(**{
+        f.name: _get(section, "solver", _KEYS.get(f.name, f.name), type(f.default), f.default)
+        for f in fields(SolverConfig)
+    })
 
 
 def _parse_experiment(section: dict) -> ExperimentSpec:
@@ -240,10 +238,10 @@ def _parse_experiment(section: dict) -> ExperimentSpec:
     if not isinstance(strategies, list) or not all(isinstance(s, str) for s in strategies):
         raise ScenarioError(f"experiment.strategies: must be a list of strategy names, got {strategies!r}")
     return ExperimentSpec(
-        kind=_get(section, "experiment", "kind"),
-        grid=tuple(float(x) for x in _get(section, "experiment", "grid")),
-        trials=_int(section.get("trials", ExperimentSpec.trials), "trials"),
-        seed=_int(section.get("seed", ExperimentSpec.seed), "seed"),
+        kind=_get(section, "experiment", "kind", str),
+        grid=_get(section, "experiment", "grid", tuple),
+        trials=_get(section, "experiment", "trials", int, ExperimentSpec.trials),
+        seed=_get(section, "experiment", "seed", int, ExperimentSpec.seed),
         strategies=tuple(strategies),
     )
 
@@ -289,17 +287,26 @@ def load_scenario(path) -> tuple[Scenario, ExperimentSpec]:
         raise ScenarioError(f"{path}: not a text file: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an int literal past `int`'s digit limit, which json.load does not wrap
+        raise ScenarioError(f"{path}: invalid JSON: {str(exc).partition(';')[0]}") from exc
     return scenario_from_dict(doc)
+
+
+def _rows(cls, objs) -> list[dict]:
+    """Each `cls` instance in `objs` as a JSON object under the `_KEYS`
+    names, tuples as lists."""
+    keys = [(f.name, _KEYS.get(f.name, f.name)) for f in fields(cls)]
+    return [{key: list(v) if type(v := getattr(obj, name)) is tuple else v for name, key in keys} for obj in objs]
 
 
 def scenario_to_dict(scenario: Scenario, experiment: ExperimentSpec) -> dict:
     """Canonical (linear-unit) form; round-trips exactly through JSON."""
     return {
-        "band": {"subwindows": _writer(Subwindow)(scenario.band.subwindows)},
-        "link_params": _to_json(scenario.params),
-        "devices": _writer(DeviceSpec)(scenario.devices),
-        "solver": _to_json(scenario.config),
-        "experiment": _to_json(experiment),
+        "band": {"subwindows": _rows(Subwindow, scenario.band.subwindows)},
+        "link_params": _rows(LinkParams, [scenario.params])[0],
+        "devices": _rows(DeviceSpec, scenario.devices),
+        "solver": _rows(SolverConfig, [scenario.config])[0],
+        "experiment": _rows(ExperimentSpec, [experiment])[0],
     }
 
 

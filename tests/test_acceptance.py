@@ -33,7 +33,7 @@ from tera_tc.strategies import (
 )
 from tera_tc.units import dbm_to_watts
 from tera_tc.waterfill import waterfill
-from conftest import make_params
+from radio_params import make_params
 
 LN2 = math.log(2.0)
 

@@ -29,7 +29,7 @@ from tera_tc.strategies import (
     non_adaptive_benchmark,
 )
 from tera_tc.units import dbm_to_watts
-from conftest import make_params
+from radio_params import make_params
 
 LN2 = math.log(2.0)
 W = 1e9

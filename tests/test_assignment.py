@@ -30,7 +30,7 @@ from tera_tc.channel import bundled_absorption_table
 from tera_tc.scenario import uniform_band
 from tera_tc.strategies import DeviceSpec, Scenario, _rate_matrix
 from tera_tc.units import dbm_to_watts
-from conftest import make_params
+from radio_params import make_params
 
 
 def test_single_entry():

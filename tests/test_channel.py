@@ -28,7 +28,7 @@ from tera_tc.channel import (
     snr,
     spreading_loss,
 )
-from conftest import make_params
+from radio_params import make_params
 
 C = 2.998e8
 

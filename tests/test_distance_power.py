@@ -28,7 +28,7 @@ from tera_tc.distance_power import (
 from tera_tc import distance_power as dp
 from tera_tc.scenario import uniform_band
 from tera_tc.units import dbm_to_watts
-from conftest import make_params
+from radio_params import make_params
 
 LN2 = math.log(2.0)
 

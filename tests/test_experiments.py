@@ -28,7 +28,7 @@ from tera_tc.experiments import (
 from tera_tc.scenario import KINDS, ExperimentSpec, save_scenario, uniform_band
 from tera_tc.strategies import STRATEGIES, DeviceSpec, Scenario, proposed_tc_max
 from tera_tc.units import dbm_to_watts
-from conftest import make_params
+from radio_params import make_params
 
 
 def small_scenario(n=4, p_dbm=30.0, reqs=None, fixed=None):

@@ -33,7 +33,7 @@ from tera_tc.distance_power import (
     thm1_distance_update,
 )
 from tera_tc.scenario import uniform_band
-from conftest import make_params
+from radio_params import make_params
 
 
 def _read_only_copy(x):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tera_tc import distance_power as dp
-from conftest import make_params
+from radio_params import make_params
 
 PARAMS = make_params(20.0)
 F, K = 5.2e11, 0.1

@@ -38,7 +38,7 @@ from tera_tc.strategies import (
 )
 from tera_tc import strategies
 from tera_tc.units import dbm_to_watts
-from conftest import make_params
+from radio_params import make_params
 
 LN2 = math.log(2.0)
 
