@@ -41,7 +41,12 @@ from .channel import D_MIN, LN2, LinkParams, floor_snr, log_inverse_gain, shanno
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve failed to reach its tolerance."""
+    """An iterative solve failed to reach its tolerance; `iterations` is the
+    number of inner iterations that ran, where the inner loop raised it."""
+
+    def __init__(self, message: str, iterations: int | None = None):
+        super().__init__(message)
+        self.iterations = iterations
 
 
 class InfeasibleError(RuntimeError):
@@ -64,7 +69,16 @@ class SolverConfig:
 
     Operating range: 20-60 dBm total power, 0.5-4 bps/Hz floors, K = N <=
     1000 over the default 500-600 GHz band. `proposed` does not converge
-    over all of it yet: it raises `ConvergenceError` at 57.5 and 60 dBm.
+    over all of it yet: it raises `ConvergenceError` from about 55 dBm up
+    (from 55.4 dBm with random floors at K = 100, and at 55 dBm at
+    K = 1000), where the inner loop locks into a period-2 cycle.
+
+    The inner loop stops such a cycle early. Once TC has alternated about
+    a fixed level, |TC_t - TC_(t-2)| <= 1e-3 |TC_t - TC_(t-1)|, on 5
+    iterations in a row, its step can shrink by at most a factor 1.001 per
+    iteration; if the step exceeds the tolerance times 1.001^(max_inner -
+    t), it cannot reach it before the cap, and `ConvergenceError` is raised
+    at iteration t instead of at max_inner.
     """
 
     alpha: float = 0.7
@@ -533,6 +547,40 @@ def _dual_step(log_c, spectral_eff, p_total: float, nu: float | None = None):
     return np.exp(log_num), nu
 
 
+#: A TC step t with |TC_t - TC_(t-2)| <= _CYCLE_DELTA |TC_t - TC_(t-1)|
+#: alternates about a fixed level; _CYCLE_RUN such steps in a row make a
+#: period-2 cycle.
+_CYCLE_DELTA = 1e-3
+_CYCLE_RUN = 5
+_LOG1P_CYCLE_DELTA = math.log1p(_CYCLE_DELTA)
+
+
+def _period2_run(tc_history, run: int, tol: float, max_inner: int) -> int:
+    """The count of consecutive iterations, ending at the last of at least
+    three in `tc_history`, on which TC alternates about a fixed level, given
+    `run` for the iterations before it. On such a step the TC step shrinks
+    by at most a factor 1 + _CYCLE_DELTA: |TC_(t-1) - TC_(t-2)| <= (1 +
+    _CYCLE_DELTA) |TC_t - TC_(t-1)|. So once the run reaches _CYCLE_RUN and
+    the step exceeds tol (1 + _CYCLE_DELTA)^(max_inner - t), taken in logs,
+    a cycle that persists cannot converge by max_inner: ConvergenceError. A
+    tol of 0 is never reached."""
+    t = len(tc_history)
+    step = abs(tc_history[-1] - tc_history[-2])
+    if not abs(tc_history[-1] - tc_history[-3]) <= _CYCLE_DELTA * step:
+        return 0
+    run += 1
+    if run < _CYCLE_RUN:
+        return run
+    # The steps the cycle needs to shrink onto tol, against the steps left.
+    if tol > 0.0 and (math.log(step) - math.log(tol)) / _LOG1P_CYCLE_DELTA <= max_inner - t:
+        return run
+    raise ConvergenceError(
+        f"no convergence within {max_inner} inner iterations: TC is in a period-2 cycle "
+        f"(step {step:.3e} against tolerance {tol:.3e}), stopped at iteration {t}",
+        iterations=t,
+    )
+
+
 @dataclass
 class IterState:
     """Converged output of the inner power-distance loop."""
@@ -561,8 +609,9 @@ def _enforce_rate_floors(d, p, snrs, rates, f, k, req, bandwidth, params, d_min)
     powers, SNRs and rates: pin every device whose floor binds at its distance
     (`_pin_masks`) or whose rate misses it by more than 1e-12 relative. Free
     devices keep their distance and power; the pinned ones split what the free
-    ones leave of the budget in proportion to their powers and move out to
-    `max_distance` (never below d_min), so their rates are the floors.
+    ones leave of the budget in proportion to their powers (equally if every
+    one of those has underflowed to 0) and move out to `max_distance` (never
+    below d_min), so their rates are the floors.
 
     Returns (distances, powers, snrs, rates, pinned mask); `p`, `snrs` and
     `rates` are updated in place.
@@ -573,7 +622,11 @@ def _enforce_rate_floors(d, p, snrs, rates, f, k, req, bandwidth, params, d_min)
         budget_pin = params.p_total - p[~pinned].sum()
         if budget_pin <= 0:
             raise InfeasibleError("rate floors leave no power budget", np.flatnonzero(pinned))
-        p[pinned] *= budget_pin / p[pinned].sum()
+        pinned_sum = p[pinned].sum()
+        if pinned_sum > 0.0:
+            p[pinned] *= budget_pin / pinned_sum
+        else:  # every pinned power underflowed: split the budget equally
+            p[pinned] = budget_pin / np.count_nonzero(pinned)
         starved = np.flatnonzero(pinned & (p == 0.0))  # powers that underflowed
         if starved.size:
             raise InfeasibleError(
@@ -603,7 +656,9 @@ def iterate_power_distance(
     each device's SNR target (stationary value, or the rate floor's SNR when
     the floor binds), solve the budget dual for the proposed distances,
     smooth, and recompute powers. Stops when the total transport capacity
-    changes by at most eps (relative by default). On termination
+    changes by at most eps (relative by default), and raises
+    ConvergenceError at max_inner, or earlier once `_period2_run` finds a
+    period-2 cycle whose step cannot shrink to eps by then. On termination
     `_enforce_rate_floors` pins the devices whose floors bind or fail: they
     split what the free devices leave of the budget in proportion to their
     powers and sit at `max_distance` (at least `config.d_min`), on their floors.
@@ -637,6 +692,7 @@ def iterate_power_distance(
     log_g = log_inverse_gain(f, k, d, bandwidth, params)
     two_log_d = 2.0 * np.log(d)
     tc_history: list[float] = []
+    cycle_run = 0
     # No overflow warnings: at an extreme budget a sum of powers that
     # overflows, like a dual sum that under- or overflows, is taken again in
     # log space, and every finite sum is used as before.
@@ -675,8 +731,12 @@ def iterate_power_distance(
             tol = config.eps * max(1.0, abs(tc_history[-1])) if config.eps_relative else config.eps
             if it > 1 and abs(tc_history[-1] - tc_history[-2]) <= tol:
                 break
+            if it > 2:
+                cycle_run = _period2_run(tc_history, cycle_run, tol, config.max_inner)
         else:
-            raise ConvergenceError(f"no convergence within {config.max_inner} inner iterations")
+            raise ConvergenceError(
+                f"no convergence within {config.max_inner} inner iterations", iterations=config.max_inner
+            )
 
     d, p, snrs, rates, pinned = _enforce_rate_floors(
         d, np.exp(log_p), snrs, rates, f, k, req, bandwidth, params, config.d_min
