@@ -2,8 +2,8 @@
 
 `hungarian_assign` is the production path (Hungarian method, O(K^3), via
 scipy's linear_sum_assignment on the max-entry-minus-payoff cost matrix);
-`exhaustive_assign` enumerates every injection of devices into subwindows
-and serves as the optimality oracle for small instances.
+`exhaustive_assign` takes the best of `injections`, every injection of
+devices into subwindows: the optimality oracle for small instances.
 
 THz payoffs are close to rank one: every device ranks the subwindows in
 nearly the same order (the f^2 spreading ladder plus the absorption lines).
@@ -50,7 +50,7 @@ import sys
 
 import numpy as np
 
-#: Default cap on the number of injections exhaustive_assign may enumerate.
+#: Default cap on the number of injections `injections` may enumerate.
 ENUM_CAP = 10_000_000
 
 
@@ -241,24 +241,23 @@ def hungarian_assign(payoff, *, overwrite_payoff: bool = False) -> np.ndarray:
     return n_of_k.reshape(payoff.shape[:-1])
 
 
-def exhaustive_assign(payoff, cap: int = ENUM_CAP) -> np.ndarray:
-    """Globally optimal assignment by enumerating all N!/(N-K)! injections.
-
-    Ties are broken toward the lexicographically smallest assignment tuple.
-    """
-    payoff = _check_payoff(payoff)
-    n_dev, n_sub = payoff.shape
-    count = math.perm(n_sub, n_dev)
+def injections(n_subwindows: int, n_devices: int, cap: int = ENUM_CAP):
+    """The N!/(N-K)! assignments (device k -> subwindow t[k]) as tuples in
+    lexicographic order, for both exhaustive oracles. EnumerationCapError,
+    before any tuple is made, when they are more than `cap`."""
+    count = math.perm(n_subwindows, n_devices)
     if count > cap:
         raise EnumerationCapError(f"{count} injections exceed the cap of {cap}")
-    best_total = -np.inf
-    best = None
+    return itertools.permutations(range(n_subwindows), n_devices)
+
+
+def exhaustive_assign(payoff, cap: int = ENUM_CAP) -> np.ndarray:
+    """Globally optimal assignment: the best of all `injections`, the
+    lexicographically smallest on ties (`max` keeps the first)."""
+    payoff = _check_payoff(payoff)
+    n_dev, n_sub = payoff.shape
     dev_idx = np.arange(n_dev)
-    for perm in itertools.permutations(range(n_sub), n_dev):
-        total = payoff[dev_idx, perm].sum()
-        if total > best_total:
-            best_total = total
-            best = perm
+    best = max(injections(n_sub, n_dev, cap), key=lambda perm: payoff[dev_idx, perm].sum())
     n_of_k = np.array(best, dtype=int)
     check_assignment(n_of_k, n_sub)
     return n_of_k

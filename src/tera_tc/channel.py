@@ -2,9 +2,10 @@
 
 Pure functions for the long-term channel power gain (spreading loss times
 molecular absorption), SNR, the per-device rate-distance product that the
-allocation strategies maximize, and the only copies of the Shannon rate
-W log2(1 + SNR) and of its inverse, the SNR a rate floor needs
-(`shannon_rate`, `floor_snr`; W = 1 for spectral efficiencies).
+allocation strategies maximize, and the Shannon rate W log2(1 + SNR) and
+its inverse, the SNR a rate floor needs (`shannon_rate`, `floor_snr`;
+W = 1 for spectral efficiencies). `strategies._rates_at` repeats
+`shannon_rate` in place.
 
 All quantities are linear (W, W/Hz, dimensionless gains); convert dB inputs
 with :mod:`tera_tc.units` before constructing these types.

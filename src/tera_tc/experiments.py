@@ -13,11 +13,12 @@ same way in `_solve_stack`. `run_experiment` names the detail file from
 strategy) rate arrays (`_write_cdf`) with the same bytes and no row
 dictionaries. Sweep points, and blocks of Monte Carlo trials that
 share a (radius, strategy), are independent jobs; the fixed-distance
-strategies solve a whole block in one stacked pass. With `workers > 1`
+strategies solve a whole block in one stacked pass, any other strategy
+once for the whole block. With `workers > 1`
 the jobs run in a process pool, in `_CHUNKS_PER_WORKER` chunks per
 worker, and are merged back in deterministic (sweep, trial) order. Each
-trial draws its own device positions, so output files are byte-identical
-for any worker count.
+fixed-distance trial draws its own device positions, so output files are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -197,28 +198,20 @@ def _solve_stack(solve, scenario: Scenario, d: np.ndarray) -> list:
     return [_solve_stack(solve, scenario, row[None])[0] for row in d]
 
 
-def _solve_each(strategy: str, scenario: Scenario, d: np.ndarray) -> list:
-    """`_solve` on one scenario per row of distances."""
-    rows = (tuple(DeviceSpec(dev.rate_req, di) for dev, di in zip(scenario.devices, row)) for row in d.tolist())
-    return [_solve(strategy, replace(scenario, devices=devices)) for devices in rows]
-
-
 def _cdf_job(job):
     """One block of trials of one (radius, strategy): their summary rows
     and the rates of the trials that solved, in trial order. Each trial's
     distances come from its own generator, so blocks and workers do not
-    change them."""
+    change them. A strategy that never reads them (any but
+    `FIXED_DISTANCE_STACKS`) is solved once, for every trial of the block."""
     experiment, strategy, radius, trials, scenario, seed, radius_index = job
-    n_dev, d_min = scenario.n_devices, scenario.config.d_min
-    d = np.array([
-        sample_disk_distances(np.random.default_rng([seed, radius_index, trial]), n_dev, radius, d_min)
-        for trial in trials
-    ])
     stack = FIXED_DISTANCE_STACKS.get(strategy)
-    if stack is not None:
-        outcomes = _solve_stack(stack, scenario, d)
+    if stack is None:
+        outcomes = [_solve(strategy, scenario)] * len(trials)
     else:
-        outcomes = _solve_each(strategy, scenario, d)
+        rngs = (np.random.default_rng([seed, radius_index, trial]) for trial in trials)
+        d = np.array([sample_disk_distances(rng, scenario.n_devices, radius, scenario.config.d_min) for rng in rngs])
+        outcomes = _solve_stack(stack, scenario, d)
     summary, rates = [], []
     for trial, outcome in zip(trials, outcomes):
         summary.append(_summary_row(experiment, strategy, radius, trial, outcome))
@@ -231,8 +224,7 @@ def _cdf_groups(scenario: Scenario, spec: ExperimentSpec, workers: int):
     """The CDF experiment's summary rows and its pooled rates: one
     ((radius, strategy), sorted rates) pair per group, in sorted order.
 
-    One job solves a block of trials of one (radius, strategy); the
-    fixed-distance strategies solve a block in one stacked pass.
+    One job, `_cdf_job`, solves a block of trials of one (radius, strategy).
     """
     block = max(1, _BLOCK_ELEMS // (scenario.n_devices * scenario.band.n))
     jobs = []

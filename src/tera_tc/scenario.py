@@ -97,8 +97,10 @@ def uniform_band(
     absorption coefficients sampled from the table."""
     if n_subwindows < 1:
         raise ValueError(f"n_subwindows must be >= 1, got {n_subwindows}")
+    if not math.isfinite(f_stop - f_start):
+        raise ValueError(f"f_start_hz {f_start!r} and f_stop_hz {f_stop!r} must span a finite width")
     edges = np.linspace(f_start, f_stop, n_subwindows + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    centers = 0.5 * edges[:-1] + 0.5 * edges[1:]  # exact halves (of normal floats); no sum to overflow
     w = (f_stop - f_start) / n_subwindows
     k_abs = table.lookup(centers)
     return BandPlan(tuple(Subwindow(float(f), float(w), float(k)) for f, k in zip(centers, k_abs)))

@@ -12,18 +12,13 @@ sharing a scenario (`FIXED_DISTANCE_STACKS`); `fixed_distance_tc_max` and
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .assignment import (
-    EnumerationCapError,
-    check_assignment,
-    hungarian_assign,
-)
+from .assignment import check_assignment, hungarian_assign, injections
 from .channel import LN2, BandPlan, LinkParams, exp_inverse_gain, floor_snr, log_inverse_gain, shannon_rate
 from .distance_power import (
     InfeasibleError,
@@ -227,15 +222,17 @@ def sum_rate_max(scenario: Scenario) -> Allocation:
     return _fixed_distance_stack(scenario, d, weighted=False, name="sum_rate")[0]
 
 
-def _alloc_from_state(name: str, n_of_k: np.ndarray, state: IterState) -> Allocation:
+def _alloc_from_state(name: str, n_of_k: np.ndarray, state: IterState, iterations: int) -> Allocation:
+    """The allocation of an inner solve on an assignment. It holds the
+    state's arrays, not copies: no later solve writes to them."""
     return Allocation(
         strategy=name,
-        subwindows=np.asarray(n_of_k, dtype=int).copy(),
-        powers=state.powers.copy(),
-        distances=state.distances.copy(),
-        rates=state.rates.copy(),
+        subwindows=n_of_k,
+        powers=state.powers,
+        distances=state.distances,
+        rates=state.rates,
         regimes=[r.value for r in state.regimes],
-        iterations=state.iterations,
+        iterations=iterations,
     )
 
 
@@ -274,8 +271,7 @@ def proposed_tc_max(scenario: Scenario) -> Allocation:
         if best_round is None or state.tc > best_round[1].tc:
             best_round = n_of_k, state
         d, p = state.distances, state.powers
-    best = _alloc_from_state("proposed", *best_round)
-    best.iterations = total_inner
+    best = _alloc_from_state("proposed", *best_round, total_inner)
     audit_allocation(best, scenario, check_rate_floors=True)
     return best
 
@@ -348,19 +344,15 @@ def non_adaptive_benchmark(scenario: Scenario) -> Allocation:
 
 
 def exhaustive_tc_max(scenario: Scenario) -> Allocation:
-    """Oracle strategy: run the inner power-distance solver for every
-    possible subwindow assignment and keep the best. Intended for K=N<=6."""
-    cfg = scenario.config
-    n_dev, n_sub = scenario.n_devices, scenario.band.n
-    count = math.perm(n_sub, n_dev)
-    if count > cfg.enum_cap:
-        raise EnumerationCapError(f"{count} assignments exceed the cap of {cfg.enum_cap}")
-    best: Allocation | None = None
-    for perm in itertools.permutations(range(n_sub), n_dev):
-        n_of_k = np.array(perm, dtype=int)
-        state = _inner_solve(scenario, n_of_k)
-        if best is None or state.tc > best.tc:
-            best = _alloc_from_state("exhaustive", n_of_k, state)
+    """Oracle strategy: run the inner power-distance solver on every
+    assignment (`injections`) and keep the best TC, the lexicographically
+    first on ties. Its `Allocation` is built once, from the best solve.
+    The limit is `scenario.config.enum_cap`: EnumerationCapError is raised,
+    before any solve, when N!/(N-K)! assignments exceed it."""
+    n_of_ks = injections(scenario.band.n, scenario.n_devices, scenario.config.enum_cap)
+    solves = ((n_of_k, _inner_solve(scenario, n_of_k)) for n_of_k in map(np.array, n_of_ks))
+    n_of_k, state = max(solves, key=lambda solve: solve[1].tc)
+    best = _alloc_from_state("exhaustive", n_of_k, state, state.iterations)
     audit_allocation(best, scenario, check_rate_floors=True)
     return best
 
